@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures test-sanitize check fuzz bench bench-smoke bench-partition bench-join bench-gpu bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
+.PHONY: all build vet test race lint lint-fixtures test-sanitize test-perfbench check fuzz bench bench-smoke bench-gpu bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -31,12 +31,17 @@ lint-fixtures:
 	$(GO) test ./internal/lint -run TestFixtures -v
 
 # Run the whole suite with the sanitizer assertions compiled in
-# (chain-cycle detection, scatter bounds, ring geometry).
+# (chain-cycle detection, compact-build and scatter bounds, ring geometry).
 test-sanitize:
 	$(GO) test -tags sanitize ./...
 
+# The repository benchmark's harness is its own module (perfbench/go.mod),
+# so the root ./... pattern does not reach its tests.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
+
 # The pre-PR gate: everything CI checks that runs in minutes, locally.
-check: build vet lint test test-sanitize
+check: build vet lint test test-sanitize test-perfbench
 	test -z "$$(gofmt -l .)"
 
 # 60 seconds of differential fuzzing against the oracle.
@@ -50,16 +55,6 @@ bench:
 # compile or crash, without waiting for stable timings (CI runs this).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Partition-path A/B sweep (scatter x scheduler x skew); writes the
-# machine-readable perf baseline committed as BENCH_partition.json.
-bench-partition:
-	$(GO) run ./cmd/skewbench -exp partition -repeats 7 -out BENCH_partition.json
-
-# Join-path A/B sweep (probe mode x table layout x skew); writes the
-# machine-readable perf baseline committed as BENCH_join.json.
-bench-join:
-	$(GO) run ./cmd/skewbench -exp join -repeats 7 -out BENCH_join.json
 
 # GPU-simulation A/B sweep (algorithm x skew x HostParallelism); writes
 # the machine-readable perf baseline committed as BENCH_gpu.json.

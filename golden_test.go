@@ -47,11 +47,11 @@ func TestGoldenWorkloads(t *testing.T) {
 	}
 }
 
-// TestGoldenAcrossPartitionVariants pins the optimisation contract of the
-// partitioner overhaul: every combination of scatter strategy and task
-// queue must land exactly on the golden output — the write-combining
-// scatter and the lock-free dequeue are required to be bit-for-bit
-// output-equivalent to the seed paths.
+// TestGoldenAcrossPartitionVariants pins the partitioner's contract: the
+// CPU radix joins land exactly on the golden output whatever the pass
+// layout (single pass, the default two passes, a wide second pass) and
+// thread count. Both change the scatter windows and the pass-2 task
+// queue's dequeue order; neither may change the output.
 func TestGoldenAcrossPartitionVariants(t *testing.T) {
 	const (
 		n     = 10000
@@ -64,10 +64,10 @@ func TestGoldenAcrossPartitionVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{Cbase, CSH} {
-		for _, scatter := range []ScatterMode{ScatterAuto, ScatterDirect, ScatterWC} {
-			for _, sched := range []SchedMode{SchedAtomic, SchedMutex} {
-				name := fmt.Sprintf("%s/scatter=%s/sched=%s", alg, scatter, sched)
-				res, err := Join(alg, r, s, &Options{Threads: 2, Scatter: scatter, Sched: sched})
+		for _, bits := range [][2]uint32{{8, 0}, {6, 5}, {3, 9}} {
+			for _, threads := range []int{1, 2, 3} {
+				name := fmt.Sprintf("%s/bits=%d+%d/threads=%d", alg, bits[0], bits[1], threads)
+				res, err := Join(alg, r, s, &Options{Threads: threads, Bits1: bits[0], Bits2: bits[1]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,10 +80,11 @@ func TestGoldenAcrossPartitionVariants(t *testing.T) {
 	}
 }
 
-// TestGoldenAcrossJoinVariants is the same contract for the join-phase
-// overhaul: the grouped probe and the compact bucket-array layout must land
-// exactly on the golden output in every combination, for both CPU hash
-// joins and the no-partition baseline (which only has the probe knob).
+// TestGoldenAcrossJoinVariants pins the CPU joins' output to the golden
+// digest at every thread count. The join phase's split sub-tasks change
+// with the thread count; the output must not. The join-phase probe visits
+// must not change either: each S tuple inspects the whole bucket of its
+// key, whichever worker probes it.
 func TestGoldenAcrossJoinVariants(t *testing.T) {
 	const (
 		n     = 10000
@@ -95,30 +96,26 @@ func TestGoldenAcrossJoinVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, probe := range []ProbeMode{ProbeScalar, ProbeGrouped} {
-		for _, layout := range []Layout{LayoutChained, LayoutCompact} {
-			for _, alg := range []Algorithm{Cbase, CSH} {
-				name := fmt.Sprintf("%s/probe=%s/layout=%s", alg, probe, layout)
-				res, err := Join(alg, r, s, &Options{Threads: 2, Probe: probe, Layout: layout})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Matches != wantMatches || res.Checksum != wantChecksum {
-					t.Errorf("%s: got (%d, %#x), want (%d, %#x)",
-						name, res.Matches, res.Checksum, wantMatches, wantChecksum)
-				}
-				if res.JoinPhase == nil || res.JoinPhase.ProbeVisits == 0 {
-					t.Errorf("%s: join-phase stats missing or empty: %+v", name, res.JoinPhase)
-				}
+	for _, alg := range []Algorithm{Cbase, CSH, CbaseNPJ} {
+		var visits uint64
+		for _, threads := range []int{1, 2, 3, 4} {
+			name := fmt.Sprintf("%s/threads=%d", alg, threads)
+			res, err := Join(alg, r, s, &Options{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		res, err := Join(CbaseNPJ, r, s, &Options{Threads: 2, Probe: probe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matches != wantMatches || res.Checksum != wantChecksum {
-			t.Errorf("cbase-npj/probe=%s: got (%d, %#x), want (%d, %#x)",
-				probe, res.Matches, res.Checksum, wantMatches, wantChecksum)
+			if res.Matches != wantMatches || res.Checksum != wantChecksum {
+				t.Errorf("%s: got (%d, %#x), want (%d, %#x)",
+					name, res.Matches, res.Checksum, wantMatches, wantChecksum)
+			}
+			if res.JoinPhase == nil || res.JoinPhase.ProbeVisits == 0 {
+				t.Fatalf("%s: join-phase stats missing or empty: %+v", name, res.JoinPhase)
+			}
+			if visits == 0 {
+				visits = res.JoinPhase.ProbeVisits
+			} else if res.JoinPhase.ProbeVisits != visits {
+				t.Errorf("%s: %d probe visits, threads=1 visited %d", name, res.JoinPhase.ProbeVisits, visits)
+			}
 		}
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// BenchmarkChainWalkVsSequentialScan contrasts the two per-output code
-// paths the paper compares: Cbase emits each result after a hash-chain
-// step plus key comparison, while CSH's skew path emits results from a
-// sequential scan of the skewed R array with no comparison.
+// BenchmarkChainWalkVsSequentialScan contrasts the per-output code paths
+// the paper compares: Cbase emits each result after a hash-chain step plus
+// key comparison, while CSH's skew path emits results from a sequential
+// scan of the skewed R array with no comparison. The CPU joins build the
+// compact table, whose bucket scan is the middle row: sequential, but
+// still one key comparison per entry.
 //
-// The gap between the two is the per-output speedup ceiling of CSH over
-// Cbase, and it widens with the working-set size: small chains are
-// cache-resident and chain-walking is only ~2-3x dearer than scanning, but
-// once the chain's next[]/tuple arrays spill out of cache each step is a
-// dependent memory miss. The paper's 8x (32M tuples, 1.79M-tuple chains)
-// lives in that out-of-cache regime; this benchmark shows where the
-// current host sits at each size (DESIGN.md §1, EXPERIMENTS.md
-// §Deviations).
+// The gap between chain walk and scan is the per-output speedup ceiling of
+// CSH over the chained baseline, and it widens with the working-set size:
+// small chains are cache-resident and chain-walking is only ~2-3x dearer
+// than scanning, but once the chain's next[]/tuple arrays spill out of
+// cache each step is a dependent memory miss. The paper's 8x (32M tuples,
+// 1.79M-tuple chains) lives in that out-of-cache regime; this benchmark
+// shows where the current host sits at each size (DESIGN.md §1,
+// EXPERIMENTS.md §Deviations).
 func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 14, 1 << 18, 1 << 21} {
 		tuples := make([]relation.Tuple, size)
@@ -32,6 +34,18 @@ func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 		}
 
 		b.Run(fmt.Sprintf("chainwalk/size=%d", size), func(b *testing.B) {
+			table := NewConcurrent(tuples)
+			for i := range tuples {
+				table.Insert(i)
+			}
+			b.SetBytes(int64(size) * relation.TupleSize)
+			var sink relation.Payload
+			for i := 0; i < b.N; i++ {
+				table.Probe(42, func(p relation.Payload) { sink += p })
+			}
+			_ = sink
+		})
+		b.Run(fmt.Sprintf("bucketscan/size=%d", size), func(b *testing.B) {
 			table := Build(tuples)
 			b.SetBytes(int64(size) * relation.TupleSize)
 			var sink relation.Payload
@@ -73,8 +87,8 @@ func BenchmarkBuild(b *testing.B) {
 // BenchmarkProbe guards the probe loop itself against regressions: a
 // mixed-key workload (every tuple distinct key, ~1 node per visit) and a
 // fully skewed one (every probe walks the whole chain). The joins spend
-// most of their join phase inside Table.Probe, so any extra work per chain
-// node shows up here immediately.
+// most of their join phase inside CompactTable.Probe, so any extra work per
+// bucket entry shows up here immediately.
 func BenchmarkProbe(b *testing.B) {
 	const size = 1 << 14
 	b.Run("distinct-keys", func(b *testing.B) {
@@ -135,6 +149,32 @@ func BenchmarkMaxChain(b *testing.B) {
 				sink += table.MaxChain()
 			}
 			_ = sink
+		})
+	}
+}
+
+// BenchmarkBuildTiny measures build cost on 1-8 tuple partitions, the bulk
+// of high-fanout task counts: a fresh Build allocates per call, an in-place
+// Rebuild reuses the table's scratch.
+func BenchmarkBuildTiny(b *testing.B) {
+	for _, size := range []int{1, 2, 4, 8} {
+		tuples := make([]relation.Tuple, size)
+		for i := range tuples {
+			tuples[i] = relation.Tuple{Key: relation.Key(i * 2654435761), Payload: relation.Payload(i)}
+		}
+		b.Run(fmt.Sprintf("alloc/size=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(tuples)
+			}
+		})
+		b.Run(fmt.Sprintf("reuse/size=%d", size), func(b *testing.B) {
+			table := Build(tuples)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				table.Rebuild(tuples)
+			}
 		})
 	}
 }

@@ -1,32 +1,27 @@
-// Package chainedtable implements the bucket-chained hash tables used by
-// the baseline joins.
+// Package chainedtable implements the hash tables the joins build.
 //
 // Both Cbase and Gbase use chained hashing (§III). All tuples with the same
 // key hash into the same bucket, so a popular key produces one long chain;
-// probing it costs one dependent memory access per chain node plus a key
-// comparison per node. That behaviour — the paper's central criticism of
-// the baselines under skew — is reproduced faithfully here: chains are
-// index-linked, probes walk them node by node, and every node visit does a
-// key comparison.
+// probing it costs one visit plus a key comparison per bucket entry. That
+// behaviour — the paper's central criticism of the baselines under skew —
+// is reproduced faithfully here: a probe inspects every entry of its key's
+// bucket, and the visit count it returns is the chain length.
 //
-// Two variants are provided:
+// Three tables are provided:
 //
-//   - Table: single-owner table built over one partition (Cbase join tasks,
-//     GSH/Gbase NM-join blocks build one per task), and
-//   - Concurrent: a latch-free shared table built by many threads with CAS
-//     head insertion (cbase-npj builds one over the whole of R).
-//
-// Beyond the faithful baseline, the package carries the join-phase hot-path
-// machinery the CPU joins A/B-test against it:
-//
-//   - grouped probing (ProbeGroup): S tuples are probed in fixed-size
-//     groups whose chain walks advance in lock-step, so the dependent loads
-//     of different probes overlap instead of serialising (the AMAC /
-//     software-pipelining idea);
-//   - a compact bucket-array layout (CompactTable, see compact.go) that
-//     stores each bucket contiguously for sequential probe scans; and
-//   - an Arena (see arena.go) that recycles build scratch across the
-//     thousands of per-task builds of a join phase.
+//   - CompactTable: the single-owner table built over one partition (Cbase
+//     and CSH join tasks, the GPU NM-join blocks of Gbase and GSH). It
+//     stores each bucket's entries contiguously instead of linking them.
+//     It uses the same bucket count and the same hash as a linked chain
+//     would, so a bucket holds exactly the entries of the corresponding
+//     chain: probe visits, the longest bucket (MaxChain), GPU warp
+//     divergence and modelled device time are those of the paper's chained
+//     table. Only the host memory layout differs — a probe scans one
+//     contiguous run instead of following one dependent link per node.
+//   - Concurrent: a latch-free shared chained table built by many threads
+//     with CAS head insertion (cbase-npj builds one over the whole of R).
+//   - Incremental: a growable chained table for the streaming symmetric
+//     hash join, whose inputs are never complete.
 package chainedtable
 
 import (
@@ -37,33 +32,9 @@ import (
 	"skewjoin/internal/sanitize"
 )
 
-// Table is a bucket-chained hash table over a tuple slice. Chains are
-// index-linked: heads[b] is the index of the first tuple in bucket b and
-// next[i] links tuple i to the next tuple in its bucket (-1 terminates).
-type Table struct {
-	// shift selects the HIGH bits of the hashed key as the bucket index.
-	// Radix partitioning consumes the low hash bits, so every tuple within
-	// one partition shares them; bucketing on the high bits keeps chains
-	// short for distinct keys inside a partition.
-	shift  uint32
-	heads  []int32
-	next   []int32
-	tuples []relation.Tuple
-}
-
-// Build constructs a table over tuples with roughly one bucket per tuple
-// (rounded up to a power of two). The tuple slice is retained, not copied.
-//
-//skewlint:hotpath
-func Build(tuples []relation.Tuple) *Table {
-	t := &Table{}
-	t.rebuild(tuples, nil, nil)
-	return t
-}
-
 // bucketCount returns the bucket count for n tuples: the next power of two,
 // clamped below at one. The seed forced a 2-bucket minimum, which made the
-// head-clear loop and bucket hashing pure overhead on the 1-tuple
+// bucket-clear loop and bucket hashing pure overhead on the 1-tuple
 // partitions that dominate high-fanout task counts; a single bucket (shift
 // 32, so every key maps to bucket 0) serves those exactly as well.
 func bucketCount(n int) int {
@@ -73,170 +44,6 @@ func bucketCount(n int) int {
 	}
 	return nb
 }
-
-// rebuild (re)initialises t over tuples, reusing the supplied heads/next
-// scratch when it has capacity and allocating otherwise. Build passes nil
-// scratch; Arena passes the previous build's slices so the steady-state
-// join phase allocates nothing.
-//
-//skewlint:hotpath
-func (t *Table) rebuild(tuples []relation.Tuple, heads, next []int32) {
-	nb := bucketCount(len(tuples))
-	if cap(heads) >= nb {
-		heads = heads[:nb]
-	} else {
-		heads = make([]int32, nb)
-	}
-	if cap(next) >= len(tuples) {
-		next = next[:len(tuples)]
-	} else {
-		next = make([]int32, len(tuples))
-	}
-	t.shift = 32 - hashfn.Log2(nb)
-	t.heads = heads
-	t.next = next
-	t.tuples = tuples
-	for b := range heads {
-		heads[b] = -1
-	}
-	for i, tp := range tuples {
-		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
-		next[i] = heads[b]
-		heads[b] = int32(i)
-	}
-}
-
-// Probe walks the chain of k's bucket, invoking fn for every tuple whose
-// key equals k, and returns the number of chain nodes visited (the probe
-// cost, used by the GPU divergence model).
-//
-//skewlint:hotpath
-func (t *Table) Probe(k relation.Key, fn func(pr relation.Payload)) int {
-	visited := 0
-	for i := t.heads[hashfn.Mix32(uint32(k))>>t.shift]; i >= 0; i = t.next[i] {
-		visited++
-		if sanitize.Enabled && visited > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, visited, len(t.tuples))
-		}
-		if t.tuples[i].Key == k {
-			fn(t.tuples[i].Payload)
-		}
-	}
-	return visited
-}
-
-// ProbeGroup probes every S tuple in ts, invoking fn(i, payload) for each
-// match of ts[i], and returns the total chain nodes visited. Tuples are
-// processed in groups of GroupSize: each group's bucket heads are loaded
-// up front, then all in-flight chain walks advance one node per round in
-// lock-step, with finished lanes compacted out. The dependent loads of up
-// to GroupSize chains are therefore in flight together instead of one
-// probe serialising behind the previous one — the gain grows with chain
-// length, exactly the regime skew produces.
-//
-// Matches are emitted in round order (interleaved across the group), not
-// in S order; the match multiset per S tuple is identical to scalar
-// probing, which is what the order-independent output summaries consume.
-//
-//skewlint:hotpath
-func (t *Table) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += t.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-// probeGroup advances one group (len(ts) <= GroupSize) in lock-step; base
-// is the group's offset within the caller's S slice, added to the lane
-// index fn receives.
-//
-//skewlint:hotpath
-func (t *Table) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, slot [GroupSize]int32
-	m := 0
-	for j := range ts {
-		if h := t.heads[hashfn.Mix32(uint32(ts[j].Key))>>t.shift]; h >= 0 {
-			cur[m], slot[m] = h, int32(j)
-			m++
-		}
-	}
-	visited := 0
-	rounds := 0
-	for m > 0 {
-		rounds++
-		if sanitize.Enabled && rounds > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain during grouped probe (round %d, table holds %d tuples)",
-				rounds, len(t.tuples))
-		}
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			visited++
-			if t.tuples[i].Key == ts[j].Key {
-				fn(base+int(j), t.tuples[i].Payload)
-			}
-			if nx := t.next[i]; nx >= 0 {
-				cur[k], slot[k] = nx, j
-				k++
-			}
-		}
-		m = k
-	}
-	return visited
-}
-
-// ChainLength returns the length of the chain that key k hashes into
-// (matching and colliding tuples alike). The GPU simulator uses it to
-// compute warp divergence without re-walking chains.
-//
-//skewlint:hotpath
-func (t *Table) ChainLength(k relation.Key) int {
-	n := 0
-	for i := t.heads[hashfn.Mix32(uint32(k))>>t.shift]; i >= 0; i = t.next[i] {
-		n++
-		if sanitize.Enabled && n > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, n, len(t.tuples))
-		}
-	}
-	return n
-}
-
-// MaxChain returns the longest chain in the table, a direct measure of how
-// badly skew degrades chained hashing. Chains are walked with a running
-// maximum — no per-bucket allocation; the join phase calls this once per
-// build, so it sits on the task hot path.
-//
-//skewlint:hotpath
-func (t *Table) MaxChain() int {
-	max := 0
-	for b := range t.heads {
-		n := 0
-		for i := t.heads[b]; i >= 0; i = t.next[i] {
-			n++
-			if sanitize.Enabled && n > len(t.tuples) {
-				sanitize.Failf("chainedtable: cycle in bucket %d's chain (visited %d nodes, table holds %d tuples)",
-					b, n, len(t.tuples))
-			}
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// Len returns the number of tuples in the table.
-func (t *Table) Len() int { return len(t.tuples) }
-
-// Buckets returns the number of buckets.
-func (t *Table) Buckets() int { return len(t.heads) }
 
 // Concurrent is a shared chained hash table built by multiple threads.
 // Insertion pushes onto the bucket head with a CAS loop, the standard
@@ -295,59 +102,6 @@ func (c *Concurrent) Probe(k relation.Key, fn func(pr relation.Payload)) int {
 		if c.tuples[i].Key == k {
 			fn(c.tuples[i].Payload)
 		}
-	}
-	return visited
-}
-
-// ProbeGroup is Table.ProbeGroup for the shared table: S tuples are probed
-// in lock-stepped groups of GroupSize. It must not run concurrently with
-// Insert; the head loads still go through the atomics so the race detector
-// sees the build/probe ordering.
-//
-//skewlint:hotpath
-func (c *Concurrent) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += c.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-//skewlint:hotpath
-func (c *Concurrent) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, slot [GroupSize]int32
-	m := 0
-	for j := range ts {
-		if h := c.heads[hashfn.Mix32(uint32(ts[j].Key))>>c.shift].Load(); h >= 0 {
-			cur[m], slot[m] = h, int32(j)
-			m++
-		}
-	}
-	visited := 0
-	rounds := 0
-	for m > 0 {
-		rounds++
-		if sanitize.Enabled && rounds > len(c.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain during grouped probe (round %d, table holds %d tuples)",
-				rounds, len(c.tuples))
-		}
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			visited++
-			if c.tuples[i].Key == ts[j].Key {
-				fn(base+int(j), c.tuples[i].Payload)
-			}
-			if nx := c.next[i]; nx >= 0 {
-				cur[k], slot[k] = nx, j
-				k++
-			}
-		}
-		m = k
 	}
 	return visited
 }

@@ -6,36 +6,44 @@ import (
 	"skewjoin/internal/sanitize"
 )
 
-// CompactTable is the bucket-array alternative to the index-linked Table:
-// every bucket's entries are stored contiguously in one tuple array, with
-// starts[b] marking where bucket b begins (starts has len buckets+1, so
-// bucket b occupies entries[starts[b]:starts[b+1]]). Building costs one
-// extra counting pass over the tuples; probing replaces the chained walk's
-// dependent load per node with a sequential scan of one cache-resident run —
-// the chained-vs-array tension of the paper made selectable (LayoutCompact).
+// CompactTable is the single-owner build table: every bucket's entries are
+// stored contiguously in one tuple array, with starts[b] marking where
+// bucket b begins (starts has len buckets+1, so bucket b occupies
+// entries[starts[b]:starts[b+1]]). Building costs a counting pass before
+// the scatter; probing is a sequential scan of one bucket run.
+//
+// A table is reusable: Rebuild re-initialises it over new tuples in place,
+// recycling its scratch, so a join worker that rebuilds one table per task
+// stops allocating once the scratch reaches its high-water mark. A table
+// that must outlive the next Rebuild — joinphase hands a split task's table
+// to its probe sub-tasks — is simply not rebuilt again; the worker starts
+// a fresh one for its next task.
 type CompactTable struct {
 	shift   uint32
 	starts  []int32
 	entries []relation.Tuple
 }
 
-// BuildCompact constructs a compact table over tuples with the same bucket
-// count Build would use. The tuple slice is only read, not retained.
+// Build constructs a table over tuples with roughly one bucket per tuple
+// (rounded up to a power of two). The tuple slice is only read, not
+// retained.
 //
 //skewlint:hotpath
-func BuildCompact(tuples []relation.Tuple) *CompactTable {
+func Build(tuples []relation.Tuple) *CompactTable {
 	t := &CompactTable{}
-	t.rebuild(tuples, nil, nil)
+	t.Rebuild(tuples)
 	return t
 }
 
-// rebuild (re)initialises t over tuples, reusing the supplied starts/entries
-// scratch when it has capacity. Counting pass → exclusive prefix sum →
-// scatter → shift-down to restore starts.
+// Rebuild re-initialises t over tuples, reusing t's scratch when it has
+// capacity and allocating otherwise. Counting pass → exclusive prefix sum →
+// scatter → shift-down to restore starts. A zero CompactTable is ready for
+// Rebuild.
 //
 //skewlint:hotpath
-func (t *CompactTable) rebuild(tuples []relation.Tuple, starts []int32, entries []relation.Tuple) {
+func (t *CompactTable) Rebuild(tuples []relation.Tuple) {
 	nb := bucketCount(len(tuples))
+	starts, entries := t.starts, t.entries
 	if cap(starts) >= nb+1 {
 		starts = starts[:nb+1]
 	} else {
@@ -82,9 +90,8 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple, starts []int32, entries 
 }
 
 // Probe scans k's bucket sequentially, invoking fn for every matching
-// tuple, and returns the number of entries inspected. A probe inspects the
-// whole bucket — exactly the entries a chained walk of the same bucket
-// would visit — so visit counts are layout-independent.
+// tuple, and returns the number of entries inspected: the length of the
+// chain a linked table would walk for k.
 //
 //skewlint:hotpath
 func (t *CompactTable) Probe(k relation.Key, fn func(pr relation.Payload)) int {
@@ -98,58 +105,9 @@ func (t *CompactTable) Probe(k relation.Key, fn func(pr relation.Payload)) int {
 	return int(hi - lo)
 }
 
-// ProbeGroup is Table.ProbeGroup for the compact layout: S tuples are
-// probed in lock-stepped groups of GroupSize, each lane advancing one entry
-// of its bucket run per round. For short buckets the sequential scan already
-// prefetches well, but under skew the lock-step keeps many hot-bucket scans
-// in flight and preserves the mode's emit order across layouts.
-//
-//skewlint:hotpath
-func (t *CompactTable) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += t.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-//skewlint:hotpath
-func (t *CompactTable) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, end, slot [GroupSize]int32
-	m := 0
-	visited := 0
-	for j := range ts {
-		b := hashfn.Mix32(uint32(ts[j].Key)) >> t.shift
-		lo, hi := t.starts[b], t.starts[b+1]
-		visited += int(hi - lo)
-		if lo < hi {
-			cur[m], end[m], slot[m] = lo, hi, int32(j)
-			m++
-		}
-	}
-	for m > 0 {
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			if t.entries[i].Key == ts[j].Key {
-				fn(base+int(j), t.entries[i].Payload)
-			}
-			if i+1 < end[l] {
-				cur[k], end[k], slot[k] = i+1, end[l], j
-				k++
-			}
-		}
-		m = k
-	}
-	return visited
-}
-
-// MaxChain returns the largest bucket's entry count (the compact analogue
-// of the longest chain).
+// MaxChain returns the largest bucket's entry count: the longest chain, a
+// direct measure of how badly skew degrades chained hashing. The join
+// phase calls it once per build, so it sits on the task hot path.
 //
 //skewlint:hotpath
 func (t *CompactTable) MaxChain() int {

@@ -8,13 +8,13 @@ import (
 
 // Incremental is a bucket-chained hash table that grows as tuples arrive,
 // the build structure of the streaming symmetric hash join: neither input
-// is complete when probing starts, so the one-shot Build/rebuild path
-// (which sizes its bucket array from a finished partition) cannot be used.
+// is complete when probing starts, so the one-shot CompactTable (which
+// sizes its bucket array from a finished partition) cannot be used.
 // Tuples are appended one at a time; when the load factor reaches one the
 // bucket array doubles and every chain is relinked in place — amortised
-// O(1) per insert, same masked-high-bits bucketing as Table, so a popular
-// key still produces the one long chain the paper's skew analysis is
-// about.
+// O(1) per insert, same masked-high-bits bucketing as CompactTable, so a
+// popular key still produces the one long chain the paper's skew analysis
+// is about.
 //
 // An Incremental is owned by one lane of the symmetric join and is only
 // touched under that lane's lock; it is not safe for concurrent use.
@@ -108,7 +108,7 @@ func (t *Incremental) Len() int { return len(t.tuples) }
 func (t *Incremental) Buckets() int { return len(t.heads) }
 
 // MaxChain returns the longest chain currently in the table (the symmetric
-// join's skew symptom, mirroring Table.MaxChain).
+// join's skew symptom, mirroring CompactTable.MaxChain).
 func (t *Incremental) MaxChain() int {
 	max := 0
 	for b := range t.heads {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestIncrementalMatchesTable inserts the same tuples into an Incremental
-// and a one-shot Table and checks every key probes identically.
+// and a one-shot CompactTable and checks every key probes identically.
 func TestIncrementalMatchesTable(t *testing.T) {
 	tuples := make([]relation.Tuple, 0, 3000)
 	for i := 0; i < 3000; i++ {

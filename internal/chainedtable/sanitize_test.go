@@ -27,20 +27,19 @@ func mustPanicWithCycle(t *testing.T, fn func()) {
 	fn()
 }
 
-// corruptTable builds a small table and rewires one chain's head node to
-// point at itself — the classic next-link corruption that would hang an
-// unsanitized probe forever.
-func corruptTable(t *testing.T) (*Table, relation.Key) {
+// corruptTable builds a small incremental table and rewires one chain's
+// head node to point at itself — the classic next-link corruption that
+// would hang an unsanitized probe forever.
+func corruptTable(t *testing.T) (*Incremental, relation.Key) {
 	t.Helper()
-	tuples := make([]relation.Tuple, 8)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{Key: relation.Key(i), Payload: relation.Payload(i)}
+	tb := NewIncremental(8)
+	for i := 0; i < 8; i++ {
+		tb.Insert(relation.Tuple{Key: relation.Key(i), Payload: relation.Payload(i)})
 	}
-	tb := Build(tuples)
 	for b := range tb.heads {
 		if h := tb.heads[b]; h >= 0 {
 			tb.next[h] = h
-			return tb, tuples[h].Key
+			return tb, tb.tuples[h].Key
 		}
 	}
 	t.Fatal("no non-empty bucket in an 8-tuple table")
@@ -51,13 +50,6 @@ func TestSanitizeProbeDetectsCycle(t *testing.T) {
 	tb, key := corruptTable(t)
 	mustPanicWithCycle(t, func() {
 		tb.Probe(key, func(relation.Payload) {})
-	})
-}
-
-func TestSanitizeChainLengthDetectsCycle(t *testing.T) {
-	tb, key := corruptTable(t)
-	mustPanicWithCycle(t, func() {
-		tb.ChainLength(key)
 	})
 }
 
@@ -96,17 +88,25 @@ func TestSanitizeConcurrentProbeDetectsCycle(t *testing.T) {
 }
 
 // TestSanitizeCleanTableUnaffected pins down that the checks are
-// observability-only: an intact table behaves identically under the
-// sanitizer.
+// observability-only: intact tables behave identically under the
+// sanitizer, including the compact build's lost-tuple check.
 func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	tuples := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 1, Payload: 11}, {Key: 2, Payload: 20}}
-	tb := Build(tuples)
-	matches := 0
-	visited := tb.Probe(1, func(relation.Payload) { matches++ })
-	if matches != 2 || visited < 2 {
-		t.Fatalf("probe under sanitize returned matches=%d visited=%d", matches, visited)
+	inc := NewIncremental(0)
+	for _, tp := range tuples {
+		inc.Insert(tp)
 	}
-	if got := tb.MaxChain(); got < 1 {
-		t.Fatalf("MaxChain under sanitize = %d", got)
+	for name, tb := range map[string]interface {
+		Probe(relation.Key, func(relation.Payload)) int
+		MaxChain() int
+	}{"compact": Build(tuples), "incremental": inc} {
+		matches := 0
+		visited := tb.Probe(1, func(relation.Payload) { matches++ })
+		if matches != 2 || visited < 2 {
+			t.Fatalf("%s: probe under sanitize returned matches=%d visited=%d", name, matches, visited)
+		}
+		if got := tb.MaxChain(); got < 2 {
+			t.Fatalf("%s: MaxChain under sanitize = %d", name, got)
+		}
 	}
 }

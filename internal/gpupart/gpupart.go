@@ -56,6 +56,11 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 // per chain step, each thread sets an intention bit atomically, the block
 // synchronises, threads compute offsets from the bitmap and write results
 // coalesced. Returns the number of matches the block produced.
+//
+// The host computes the block's result with chainedtable's compact table.
+// Its buckets hold exactly the entries of the modelled chains, so the
+// per-probe visit counts that drive the warp and barrier costs are the
+// chained table's.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	dcfg := b.Device().Config()
 	table := chainedtable.Build(rPart)

@@ -10,19 +10,10 @@
 // the table is built once and the S side is re-enqueued as smaller probe
 // sub-tasks.
 //
-// The hot path carries two output-identical A/B knobs mirroring the
-// partitioner's Scatter/Sched pair:
-//
-//   - Config.Probe selects scalar probing (one S tuple at a time, the seed
-//     path) or grouped probing (chainedtable.ProbeGroup: GroupSize chain
-//     walks advanced in lock-step so their dependent loads overlap);
-//   - Config.Layout selects the chained table or the compact bucket-array
-//     layout (chainedtable.LayoutCompact).
-//
-// Build scratch is recycled through a per-worker chainedtable.Arena, so
-// after the first few tasks grow each worker's buffers the steady-state
-// join phase allocates nothing per task. Tables handed to probe sub-tasks
-// escape their worker and are detached from the arena first.
+// Each worker owns one chainedtable.CompactTable and rebuilds it in place
+// for every task, so after the first few tasks grow its scratch the
+// steady-state join phase allocates nothing per task. A table handed to
+// probe sub-tasks escapes its worker, which then starts a fresh table.
 package joinphase
 
 import (
@@ -43,18 +34,6 @@ type Config struct {
 	// average S partition size is split into probe sub-tasks. <= 0 disables
 	// splitting.
 	SkewFactor float64
-	// Sched selects the task-queue implementation (default radix.SchedAtomic,
-	// the lock-free fetch-add queue; radix.SchedMutex restores the seed's
-	// mutex-guarded queue for A/B benchmarks).
-	Sched radix.SchedMode
-	// Probe selects the probe strategy (default chainedtable.ProbeScalar,
-	// the seed's one-probe-at-a-time walk; chainedtable.ProbeGrouped
-	// advances GroupSize chain walks in lock-step).
-	Probe chainedtable.ProbeMode
-	// Layout selects the build-table representation (default
-	// chainedtable.LayoutChained, the paper's index-linked chains;
-	// chainedtable.LayoutCompact stores buckets contiguously).
-	Layout chainedtable.Layout
 	// Ctx optionally cancels the phase between join tasks (nil = never).
 	// A cancelled run reports Stats.Canceled and its output is partial.
 	Ctx context.Context
@@ -79,15 +58,6 @@ type ProbeRange struct {
 	Part, Lo, Hi int
 }
 
-// taskQueue abstracts the two queue variants; the per-task dispatch cost is
-// negligible next to building and probing a hash table.
-type taskQueue interface {
-	Push(task)
-	Len() int
-	Drain(threads int, fn func(worker int, t task))
-	DrainCtx(ctx context.Context, threads int, fn func(worker int, t task)) error
-}
-
 // Stats reports what happened inside the join phase.
 type Stats struct {
 	Tasks         int    // join tasks drained, including probe sub-tasks
@@ -101,30 +71,25 @@ type Stats struct {
 }
 
 type task struct {
-	part   int                    // partition index; -1 for a probe sub-task
-	lo, hi int                    // probe-range restriction when hi > lo
-	table  chainedtable.HashTable // pre-built R table for probe sub-tasks
-	sPart  []relation.Tuple       // S tuples to probe for probe sub-tasks
+	part   int                        // partition index; -1 for a probe sub-task
+	lo, hi int                        // probe-range restriction when hi > lo
+	table  *chainedtable.CompactTable // pre-built R table for probe sub-tasks
+	sPart  []relation.Tuple           // S tuples to probe for probe sub-tasks
 }
 
-// worker holds one thread's output buffer, build arena, emit state and
-// stat counters. The emit closures are created once per worker (not per
-// task, let alone per probe) so the hot loops never allocate.
+// worker holds one thread's output buffer, build table, emit state and
+// stat counters. The emit closure is created once per worker (not per
+// task, let alone per probe) so the hot loop never allocates.
 type worker struct {
-	buf   *outbuf.Buffer
-	arena *chainedtable.Arena
+	buf *outbuf.Buffer
+	// table is rebuilt in place for every task; nil until the first task
+	// and after a split task handed the previous table to its sub-tasks.
+	table *chainedtable.CompactTable
 
-	// scalar emit state: the S tuple currently being probed.
-	curKey     relation.Key
-	curPS      relation.Payload
-	emitScalar func(pr relation.Payload)
-
-	// grouped emit state: the task's S side plus a staging batch flushed
-	// through outbuf.PushBatch one probe group at a time.
-	sSide       []relation.Tuple
-	batch       [chainedtable.GroupSize]outbuf.Result
-	bn          int
-	emitGrouped func(i int, pr relation.Payload)
+	// emit state: the S tuple currently being probed.
+	curKey relation.Key
+	curPS  relation.Payload
+	emit   func(pr relation.Payload)
 
 	maxChain      int
 	probeVisits   uint64
@@ -134,55 +99,25 @@ type worker struct {
 	probeNs       int64
 }
 
-// probeScalar probes sSide one tuple at a time (the seed path).
+// probe probes table with every tuple of sSide.
 //
 //skewlint:hotpath
-func (w *worker) probeScalar(table chainedtable.HashTable, sSide []relation.Tuple) {
+func (w *worker) probe(table *chainedtable.CompactTable, sSide []relation.Tuple) {
 	for _, ts := range sSide {
 		w.curKey, w.curPS = ts.Key, ts.Payload
-		w.probeVisits += uint64(table.Probe(ts.Key, w.emitScalar))
-	}
-}
-
-// probeGrouped probes sSide through the lock-step group walk, staging
-// matches in w.batch and emitting them a batch at a time.
-//
-//skewlint:hotpath
-func (w *worker) probeGrouped(table chainedtable.HashTable, sSide []relation.Tuple) {
-	w.sSide = sSide
-	w.probeVisits += uint64(table.ProbeGroup(sSide, w.emitGrouped))
-	if w.bn > 0 {
-		w.buf.PushBatch(w.batch[:w.bn])
-		w.bn = 0
-	}
-	w.sSide = nil
-}
-
-// stage records one grouped-probe match in the staging batch, flushing a
-// full batch through the buffer's batch fast path.
-//
-//skewlint:hotpath
-func (w *worker) stage(i int, pr relation.Payload) {
-	s := &w.sSide[i]
-	w.batch[w.bn] = outbuf.Result{Key: s.Key, PayloadR: pr, PayloadS: s.Payload}
-	w.bn++
-	if w.bn == len(w.batch) {
-		w.buf.PushBatch(w.batch[:])
-		w.bn = 0
+		w.probeVisits += uint64(table.Probe(ts.Key, w.emit))
 	}
 }
 
 // runner carries the per-phase constants every task shares.
 type runner struct {
 	pr, ps         *radix.Partitioned
-	probe          chainedtable.ProbeMode
-	layout         chainedtable.Layout
 	avg            int
 	splitThreshold int
-	q              taskQueue
+	q              *exec.Queue[task]
 }
 
-// doTask executes one join task on worker w: build (arena-recycled, timed),
+// doTask executes one join task on worker w: build (in place, timed),
 // split if oversized, probe (timed). Deliberately not a lint hot path —
 // the phase timers live here, bracketing the marked helpers that are.
 // Build and probe are timed with the per-thread CPU clock, not wall time:
@@ -191,12 +126,16 @@ type runner struct {
 // the busy measurement the cost model calibrates against. exec.Parallel
 // pins each drain worker to its OS thread, so the deltas are well-defined.
 func (r *runner) doTask(w *worker, t task) {
-	var table chainedtable.HashTable
+	var table *chainedtable.CompactTable
 	var sSide []relation.Tuple
 
 	if t.part >= 0 {
+		if w.table == nil {
+			w.table = &chainedtable.CompactTable{}
+		}
+		table = w.table
 		t0 := exec.ThreadCPUNs()
-		table = w.arena.Build(r.pr.Part(t.part), r.layout)
+		table.Rebuild(r.pr.Part(t.part))
 		w.buildNs += exec.ThreadCPUNs() - t0
 		if mc := table.MaxChain(); mc > w.maxChain {
 			w.maxChain = mc
@@ -211,8 +150,8 @@ func (r *runner) doTask(w *worker, t task) {
 		if r.splitThreshold > 0 && len(sPart) > r.splitThreshold {
 			w.splits++
 			// The table escapes to whichever workers drain the sub-tasks;
-			// detach it so the arena's next build cannot clobber it.
-			w.arena.Detach()
+			// the worker's next task must not rebuild it.
+			w.table = nil
 			for lo := r.avg; lo < len(sPart); lo += r.avg {
 				hi := lo + r.avg
 				if hi > len(sPart) {
@@ -231,11 +170,7 @@ func (r *runner) doTask(w *worker, t task) {
 
 	before := w.buf.Count()
 	t1 := exec.ThreadCPUNs()
-	if r.probe == chainedtable.ProbeGrouped {
-		w.probeGrouped(table, sSide)
-	} else {
-		w.probeScalar(table, sSide)
-	}
+	w.probe(table, sSide)
 	w.probeNs += exec.ThreadCPUNs() - t1
 	if out := w.buf.Count() - before; out > w.maxTaskOutput {
 		w.maxTaskOutput = out
@@ -281,26 +216,13 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 		}
 		tasks = append(tasks, task{part: pr2.Part, lo: pr2.Lo, hi: pr2.Hi})
 	}
-	var q taskQueue
-	if cfg.Sched == radix.SchedMutex {
-		q = exec.NewMutexQueue(tasks)
-	} else {
-		q = exec.NewQueue(tasks)
-	}
-
-	r := &runner{
-		pr: pr, ps: ps,
-		probe: cfg.Probe, layout: cfg.Layout,
-		avg: avg, splitThreshold: splitThreshold,
-		q: q,
-	}
+	q := exec.NewQueue(tasks)
+	r := &runner{pr: pr, ps: ps, avg: avg, splitThreshold: splitThreshold, q: q}
 	ws := make([]worker, cfg.Threads)
 	for i := range ws {
 		w := &ws[i]
 		w.buf = bufs[i]
-		w.arena = &chainedtable.Arena{}
-		w.emitScalar = func(pr relation.Payload) { w.buf.Push(w.curKey, pr, w.curPS) }
-		w.emitGrouped = w.stage
+		w.emit = func(pr relation.Payload) { w.buf.Push(w.curKey, pr, w.curPS) }
 	}
 
 	var drainErr error

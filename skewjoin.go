@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"skewjoin/internal/cbase"
-	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/csh"
 	"skewjoin/internal/exec"
 	"skewjoin/internal/gbase"
@@ -48,7 +47,6 @@ import (
 	"skewjoin/internal/npj"
 	"skewjoin/internal/oracle"
 	"skewjoin/internal/outbuf"
-	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/smj"
 	"skewjoin/internal/ssj"
@@ -68,54 +66,6 @@ type (
 	Relation = relation.Relation
 	// DeviceConfig configures the simulated GPU for Gbase and GSH.
 	DeviceConfig = gpusim.Config
-	// ScatterMode selects the CPU partitioner's scatter strategy.
-	ScatterMode = radix.ScatterMode
-	// SchedMode selects the CPU dynamic-task-queue implementation.
-	SchedMode = radix.SchedMode
-	// ProbeMode selects the CPU join phase's probe strategy.
-	ProbeMode = chainedtable.ProbeMode
-	// Layout selects the CPU join phase's build-table layout.
-	Layout = chainedtable.Layout
-)
-
-// Partition scatter strategies (Options.Scatter). All strategies produce
-// bit-for-bit identical partitions; the knob exists for benchmarking.
-const (
-	// ScatterAuto picks write-combining at high pass fanouts, direct
-	// otherwise (the default).
-	ScatterAuto = radix.ScatterAuto
-	// ScatterDirect always writes tuples straight to their partitions.
-	ScatterDirect = radix.ScatterDirect
-	// ScatterWC always stages tuples in software write-combining buffers.
-	ScatterWC = radix.ScatterWC
-)
-
-// Task-queue implementations (Options.Sched).
-const (
-	// SchedAtomic is the lock-free fetch-add task queue (the default).
-	SchedAtomic = radix.SchedAtomic
-	// SchedMutex is the fully mutex-guarded baseline queue.
-	SchedMutex = radix.SchedMutex
-)
-
-// Probe strategies (Options.Probe). Both produce identical output; the knob
-// exists for benchmarking.
-const (
-	// ProbeScalar probes one S tuple at a time (the default).
-	ProbeScalar = chainedtable.ProbeScalar
-	// ProbeGrouped advances up to 64 chain walks in lock-step so their
-	// dependent loads overlap.
-	ProbeGrouped = chainedtable.ProbeGrouped
-)
-
-// Build-table layouts (Options.Layout). Both produce identical output.
-const (
-	// LayoutChained is the paper's index-linked bucket-chained table (the
-	// default).
-	LayoutChained = chainedtable.LayoutChained
-	// LayoutCompact stores each bucket's entries contiguously, trading an
-	// extra build pass for sequential probe scans.
-	LayoutCompact = chainedtable.LayoutCompact
 )
 
 // Algorithm selects a join implementation.
@@ -195,18 +145,6 @@ type Options struct {
 	// partial batch before Join returns. Batches are ring-backed and must
 	// not be retained. The factory itself is called sequentially.
 	Consumer func(worker int) ResultConsumer
-	// Scatter selects the CPU partitioner's scatter strategy for Cbase and
-	// CSH (default ScatterAuto). Output is identical across strategies.
-	Scatter ScatterMode
-	// Sched selects the CPU dynamic-task-queue implementation for Cbase
-	// and CSH (default SchedAtomic).
-	Sched SchedMode
-	// Probe selects the CPU join phase's probe strategy for Cbase, CSH and
-	// CbaseNPJ (default ProbeScalar). Output is identical across modes.
-	Probe ProbeMode
-	// Layout selects the CPU join phase's build-table layout for Cbase and
-	// CSH (default LayoutChained). Output is identical across layouts.
-	Layout Layout
 	// Context optionally bounds the run: when it is cancelled or its
 	// deadline passes, Join returns ctx.Err() instead of a result. For
 	// Cbase and CSH cancellation is honoured at phase boundaries and
@@ -357,8 +295,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		res := cbase.Join(r, s, cbase.Config{
 			Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
-			Scatter: opts.Scatter, Sched: opts.Sched,
-			Probe: opts.Probe, Layout: opts.Layout, Ctx: runCtx,
+			Ctx: runCtx,
 		})
 		if res.Canceled && !lim.hit() {
 			return Result{}, ctxErr(ctx)
@@ -371,7 +308,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		lim, runCtx, flush, cancel := newLimiter(limit, ctx, opts.Consumer)
 		defer cancel()
 		res := npj.Join(r, s, npj.Config{
-			Threads: opts.Threads, Probe: opts.Probe,
+			Threads:   opts.Threads,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
 			Ctx: runCtx,
 		})
@@ -389,8 +326,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 			Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2,
 			SampleRate: opts.SampleRate, SkewThreshold: opts.SkewThreshold,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
-			Scatter: opts.Scatter, Sched: opts.Sched,
-			Probe: opts.Probe, Layout: opts.Layout, Ctx: runCtx,
+			Ctx: runCtx,
 		})
 		if res.Canceled && !lim.hit() {
 			return Result{}, ctxErr(ctx)

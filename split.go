@@ -141,8 +141,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 
 	var timer exec.PhaseTimer
 	rcfg := radix.Config{
-		Threads: threads, Bits1: bits1, Bits2: bits2,
-		Scatter: opts.Scatter, Sched: opts.Sched, Ctx: ctx,
+		Threads: threads, Bits1: bits1, Bits2: bits2, Ctx: ctx,
 	}
 
 	// Shared prefix 1: partition R and S, overlapped like cbase.
@@ -228,7 +227,6 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 		}
 		cpuStats = joinphase.Run(pr, ps, joinphase.Config{
 			Threads: threads, SkewFactor: 4,
-			Sched: opts.Sched, Probe: opts.Probe, Layout: opts.Layout,
 			Ctx: ctx, Parts: plan.CPUParts, Ranges: cpuRanges,
 		}, bufs)
 		for _, b := range bufs {
