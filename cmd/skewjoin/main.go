@@ -45,12 +45,11 @@ func main() {
 		seed    = flag.Int64("seed", 42, "generator seed")
 		rPath   = flag.String("r", "", "path to table R (binary relation file)")
 		sPath   = flag.String("s", "", "path to table S (binary relation file)")
-		threads = flag.Int("threads", 0, "CPU worker threads (default all cores)")
+		threads = flag.Int("threads", 0, "worker threads, also simulating GPU thread blocks (default all cores)")
 		backend = flag.String("backend", "", "execution backend: empty (run -alg as-is) or split (cost-model co-processing across CPU and simulated GPU; overrides -alg)")
 		device  = flag.String("device", "a100", "simulated GPU profile: a100 (discrete flagship) or coupled (integrated GPU a small multiple faster than the host)")
 		policy  = flag.String("policy", "", "split placement policy: model (default), static, cpu, or gpu (with -backend split)")
 		frags   = flag.Int("fragments", 0, "max pieces to cut a dominating hot partition into across both backends (with -backend split; 0 = default 8, negative disables fragmentation)")
-		hostpar = flag.Int("hostpar", 0, "host workers simulating GPU thread blocks (0 = serial; output is identical)")
 		verify  = flag.Bool("verify", true, "check the output against the oracle")
 		trace   = flag.Bool("gputrace", false, "print the simulator's per-kernel launch records (GPU algorithms)")
 	)
@@ -85,12 +84,12 @@ func main() {
 	}
 
 	if *alg == "all" && *backend == "" {
-		compareAll(r, s, *threads, *hostpar, *verify)
+		compareAll(r, s, *threads, *verify)
 		return
 	}
 
 	algorithm := skewjoin.Algorithm(*alg)
-	opts := &skewjoin.Options{Threads: *threads, HostParallelism: *hostpar, Device: dev}
+	opts := &skewjoin.Options{Threads: *threads, Device: dev}
 	switch *backend {
 	case "":
 	case "split":
@@ -110,7 +109,7 @@ func main() {
 	var res skewjoin.Result
 	if *trace && algorithm.IsGPU() {
 		// Run through the internal packages to reach the launch records.
-		trc, tres := runWithTrace(algorithm, r, s, *hostpar)
+		trc, tres := runWithTrace(algorithm, r, s, dev, *threads)
 		res = tres
 		defer printTrace(trc)
 	} else {
@@ -172,13 +171,13 @@ func fatal(err error) {
 
 // compareAll runs every implementation (including extensions) on the same
 // workload and prints a comparison table.
-func compareAll(r, s skewjoin.Relation, threads, hostpar int, verify bool) {
+func compareAll(r, s skewjoin.Relation, threads int, verify bool) {
 	want := skewjoin.Expected(r, s)
 	fmt.Printf("%d x %d tuples, %d expected results\n\n", r.Len(), s.Len(), want.Matches)
 	fmt.Printf("%-11s %12s %8s %s\n", "algorithm", "total", "kind", "phases")
 	failed := false
 	for _, alg := range skewjoin.ExtendedAlgorithms() {
-		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads, HostParallelism: hostpar})
+		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads})
 		if err != nil {
 			fatal(err)
 		}
@@ -206,8 +205,7 @@ func compareAll(r, s skewjoin.Relation, threads, hostpar int, verify bool) {
 // runWithTrace executes a GPU algorithm via its internal package so the
 // simulator's launch records are available, and adapts the outcome to the
 // public Result shape.
-func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation, hostpar int) ([]gpusim.LaunchRecord, skewjoin.Result) {
-	dev := gpusim.Config{HostParallelism: hostpar}
+func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation, dev gpusim.Config, threads int) ([]gpusim.LaunchRecord, skewjoin.Result) {
 	adapt := func(sumCount, sumChecksum uint64, phases []exec.Phase) skewjoin.Result {
 		res := skewjoin.Result{
 			Algorithm: alg,
@@ -223,13 +221,13 @@ func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation, hostpar int) (
 	}
 	switch alg {
 	case skewjoin.Gbase:
-		gr := gbase.Join(r, s, gbase.Config{Device: dev})
+		gr := gbase.Join(r, s, gbase.Config{Device: dev, Threads: threads})
 		return gr.Trace, adapt(gr.Summary.Count, gr.Summary.Checksum, gr.Phases)
 	case skewjoin.GSH:
-		gr := gsh.Join(r, s, gsh.Config{Device: dev})
+		gr := gsh.Join(r, s, gsh.Config{Device: dev, Threads: threads})
 		return gr.Trace, adapt(gr.Summary.Count, gr.Summary.Checksum, gr.Phases)
 	case skewjoin.GSMJ:
-		gr := gsmj.Join(r, s, gsmj.Config{Device: dev})
+		gr := gsmj.Join(r, s, gsmj.Config{Device: dev, Threads: threads})
 		return gr.Trace, adapt(gr.Summary.Count, gr.Summary.Checksum, gr.Phases)
 	default:
 		fatal(fmt.Errorf("-gputrace requires a GPU algorithm, got %q", alg))

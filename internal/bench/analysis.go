@@ -55,12 +55,12 @@ func Analysis(cfg Config) (*AnalysisReport, error) {
 			row.MaxTaskShare = float64(cb.Stats.Join.MaxTaskOutput) / float64(cb.Summary.Count)
 		}
 
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		row.GbaseSubLists = gb.Stats.SubListBlocks
 		row.GbaseSReprobes = gb.Stats.SReprobes
 		row.GbaseDivergence = gb.Stats.Sim.DivergenceWasted
 
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		row.GSHSkewedKeys = gs.Stats.SkewedKeys
 		row.GSHSkewedTuplesR = gs.Stats.SkewedTuplesR
 

@@ -226,7 +226,7 @@ func Fig1(cfg Config) (*Report, error) {
 		cpart.Cells = append(cpart.Cells, Cell{Duration: phase(cb.Phases, "partition")})
 		cjoin.Cells = append(cjoin.Cells, Cell{Duration: phase(cb.Phases, "join")})
 
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gbase", z, gb.Summary, w.Expected)
 		gpart.Cells = append(gpart.Cells, Cell{Duration: phase(gb.Phases, "partition"), Modelled: true})
 		gjoin.Cells = append(gjoin.Cells, Cell{Duration: phase(gb.Phases, "join"), Modelled: true})
@@ -275,11 +275,11 @@ func Fig4b(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gbase", z, gb.Summary, w.Expected)
 		sg.Cells = append(sg.Cells, Cell{Duration: gb.Total(), Modelled: true})
 
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gsh", z, gs.Summary, w.Expected)
 		ss.Cells = append(ss.Cells, Cell{Duration: gs.Total(), Modelled: true})
 	}
@@ -317,12 +317,12 @@ func Table1(cfg Config) (*Report, error) {
 		rows[2].Cells = append(rows[2].Cells, Cell{Duration: cs.SamplePlusPartition()})
 		rows[3].Cells = append(rows[3].Cells, Cell{Duration: phase(cs.Phases, "nmjoin")})
 
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gbase", z, gb.Summary, w.Expected)
 		rows[4].Cells = append(rows[4].Cells, Cell{Duration: phase(gb.Phases, "partition"), Modelled: true})
 		rows[5].Cells = append(rows[5].Cells, Cell{Duration: phase(gb.Phases, "join"), Modelled: true})
 
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gsh", z, gs.Summary, w.Expected)
 		rows[6].Cells = append(rows[6].Cells, Cell{Duration: phase(gs.Phases, "partition"), Modelled: true})
 		rows[7].Cells = append(rows[7].Cells, Cell{Duration: gs.AllOther(), Modelled: true})
@@ -386,11 +386,11 @@ func Speedup(cfg Config) (*SpeedupReport, error) {
 			return res.Total(), res.Summary
 		})
 		gbT, gbS := bestOf(1, func() (time.Duration, outbuf.Summary) { // modelled: deterministic
-			res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+			res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 			return res.Total(), res.Summary
 		})
 		gsT, gsS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-			res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+			res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 			return res.Total(), res.Summary
 		})
 		for _, chk := range []struct {
@@ -458,11 +458,11 @@ func Large(cfg Config) (*LargeReport, error) {
 		return res.Total(), res.Summary
 	})
 	gbT, gbS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-		res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		return res.Total(), res.Summary
 	})
 	gsT, gsS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		return res.Total(), res.Summary
 	})
 	for _, chk := range []struct {

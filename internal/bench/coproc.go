@@ -3,9 +3,9 @@
 // runs it and can write the result as BENCH_coproc.json.
 //
 // Each cell runs backend=split on one zipf workload under one placement
-// policy and one HostParallelism setting, against the coupled device
-// profile (the regime where co-processing can win; on the discrete A100
-// profile the planner correctly degenerates). The pinned "cpu" and "gpu"
+// policy, against the coupled device profile (the regime where
+// co-processing can win; on the discrete A100 profile the planner
+// correctly degenerates). The pinned "cpu" and "gpu"
 // policies are the single-backend control rows — they run through the
 // same split executor, so the partition/plan prefix cancels out of every
 // comparison — and "static" is the naive round-robin placement the cost
@@ -13,7 +13,7 @@
 // next to the measured one; the residual is the model's honesty metric,
 // reported rather than hidden.
 //
-// The harness asserts, per (zipf, hostpar) group, that the model policy's
+// The harness asserts, per zipf group, that the model policy's
 // join-side makespan is at most maxRegression times the better control
 // plus a small epsilon — i.e. the planner never loses to the backends it
 // chooses between. Violations land in Errors and fail the run.
@@ -29,15 +29,14 @@ import (
 	"skewjoin/internal/exec"
 )
 
-// CoprocCell is one measured (zipf, policy, hostpar) combination. The
+// CoprocCell is one measured (zipf, policy) combination. The
 // join-side times follow the executor's hybrid clock: CPUJoinNS is host
 // busy time per worker, GPUJoinNS/GPUTransferNS are modelled device time,
 // and MakespanNS is the max of the two sides — the overlapped join-phase
 // time. MakespanNS is the minimum across the repeat runs.
 type CoprocCell struct {
-	Zipf            float64 `json:"zipf"`
-	Policy          string  `json:"policy"`
-	HostParallelism int     `json:"host_parallelism"`
+	Zipf   float64 `json:"zipf"`
+	Policy string  `json:"policy"`
 	// Split reports whether the executed plan used both backends;
 	// Degenerate names the single backend otherwise.
 	Split      bool   `json:"split"`
@@ -76,7 +75,6 @@ type CoprocReport struct {
 	Device      string               `json:"device"`
 	Calibration skewjoin.Calibration `json:"calibration"`
 	Zipfs       []float64            `json:"zipfs"`
-	Hostpars    []int                `json:"hostpars"`
 	Policies    []string             `json:"policies"`
 	Cells       []CoprocCell         `json:"cells"`
 	Errors      []string             `json:"errors,omitempty"`
@@ -97,9 +95,6 @@ var coprocZipfs = []float64{0.0, 1.0, 1.1, 1.2, 1.4}
 // applies to the model policy's cells.
 const fragmentGateZipf = 1.2
 
-// coprocHostpars: serial simulation and a small host pool.
-var coprocHostpars = []int{0, 4}
-
 // coprocPolicies: the model under test, the naive placement, and the two
 // pinned single-backend controls.
 var coprocPolicies = []skewjoin.SplitPolicy{
@@ -118,8 +113,8 @@ const (
 	regressionEpsilonNs = 5e6
 )
 
-// CoprocBench measures the split executor across zipf, placement policy
-// and host parallelism on the coupled device profile.
+// CoprocBench measures the split executor across zipf and placement
+// policy on the coupled device profile.
 func CoprocBench(cfg Config) (*CoprocReport, error) {
 	zipfs := coprocZipfs
 	if len(cfg.Zipfs) > 0 && len(cfg.Zipfs) != 11 {
@@ -139,13 +134,12 @@ func CoprocBench(cfg Config) (*CoprocReport, error) {
 		device.SharedMemBytes = cfg.Device.SharedMemBytes
 	}
 	rep := &CoprocReport{
-		Tuples:   cfg.Tuples,
-		Seed:     cfg.Seed,
-		Threads:  threads,
-		Repeats:  cfg.Repeats,
-		Device:   fmt.Sprintf("coupled/shm=%dKiB", device.SharedMemBytes>>10),
-		Zipfs:    zipfs,
-		Hostpars: coprocHostpars,
+		Tuples:  cfg.Tuples,
+		Seed:    cfg.Seed,
+		Threads: threads,
+		Repeats: cfg.Repeats,
+		Device:  fmt.Sprintf("coupled/shm=%dKiB", device.SharedMemBytes>>10),
+		Zipfs:   zipfs,
 	}
 	for _, p := range coprocPolicies {
 		rep.Policies = append(rep.Policies, string(p))
@@ -166,37 +160,34 @@ func CoprocBench(cfg Config) (*CoprocReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, hostpar := range coprocHostpars {
-			group := make([]CoprocCell, 0, len(coprocPolicies))
-			for _, policy := range coprocPolicies {
-				cell := CoprocCell{Zipf: z, Policy: string(policy), HostParallelism: hostpar}
-				for it := 0; it < cfg.Repeats; it++ {
-					res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
-						Threads: threads, Device: device,
-						HostParallelism: hostpar,
-						SplitPolicy:     policy, Calibration: &cal,
-						SplitMinWinNs: cfg.SplitMinWinNs,
-					})
-					if err != nil {
-						return nil, err
-					}
-					got := res.Summary()
-					if got.Matches != w.Expected.Count || got.Checksum != w.Expected.Checksum {
-						rep.Errors = append(rep.Errors, fmt.Sprintf(
-							"%s hostpar=%d @ zipf %.2f: output mismatch", policy, hostpar, z))
-						continue
-					}
-					foldCoproc(&cell, res.Split, rep)
+		group := make([]CoprocCell, 0, len(coprocPolicies))
+		for _, policy := range coprocPolicies {
+			cell := CoprocCell{Zipf: z, Policy: string(policy)}
+			for it := 0; it < cfg.Repeats; it++ {
+				res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
+					Threads: threads, Device: device,
+					SplitPolicy: policy, Calibration: &cal,
+					SplitMinWinNs: cfg.SplitMinWinNs,
+				})
+				if err != nil {
+					return nil, err
 				}
-				if cell.MakespanNS > 0 {
-					cell.PredErrPct = 100 * math.Abs(float64(cell.PredictedMakespanNS)-float64(cell.MakespanNS)) /
-						float64(cell.MakespanNS)
+				got := res.Summary()
+				if got.Matches != w.Expected.Count || got.Checksum != w.Expected.Checksum {
+					rep.Errors = append(rep.Errors, fmt.Sprintf(
+						"%s @ zipf %.2f: output mismatch", policy, z))
+					continue
 				}
-				group = append(group, cell)
+				foldCoproc(&cell, res.Split, rep)
 			}
-			checkCoprocGroup(group, rep)
-			rep.Cells = append(rep.Cells, group...)
+			if cell.MakespanNS > 0 {
+				cell.PredErrPct = 100 * math.Abs(float64(cell.PredictedMakespanNS)-float64(cell.MakespanNS)) /
+					float64(cell.MakespanNS)
+			}
+			group = append(group, cell)
 		}
+		checkCoprocGroup(group, rep)
+		rep.Cells = append(rep.Cells, group...)
 	}
 	return rep, nil
 }
@@ -207,7 +198,7 @@ func CoprocBench(cfg Config) (*CoprocReport, error) {
 func foldCoproc(c *CoprocCell, st *skewjoin.SplitStats, rep *CoprocReport) {
 	if st == nil || st.Plan == nil {
 		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s hostpar=%d @ zipf %.2f: split run missing stats", c.Policy, c.HostParallelism, c.Zipf))
+			"%s @ zipf %.2f: split run missing stats", c.Policy, c.Zipf))
 		return
 	}
 	if c.MakespanNS == 0 {
@@ -230,8 +221,8 @@ func foldCoproc(c *CoprocCell, st *skewjoin.SplitStats, rep *CoprocReport) {
 	}
 	if gpu := st.GPUJoinNs + st.GPUTransferNs; gpu != c.GPUJoinNS+c.GPUTransferNS {
 		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s hostpar=%d @ zipf %.2f: modelled GPU time changed across repeats (%d ns vs %d ns)",
-			c.Policy, c.HostParallelism, c.Zipf, gpu, c.GPUJoinNS+c.GPUTransferNS))
+			"%s @ zipf %.2f: modelled GPU time changed across repeats (%d ns vs %d ns)",
+			c.Policy, c.Zipf, gpu, c.GPUJoinNS+c.GPUTransferNS))
 	}
 	if m := st.JoinSideNs(); m < c.MakespanNS {
 		c.MakespanNS = m
@@ -241,7 +232,7 @@ func foldCoproc(c *CoprocCell, st *skewjoin.SplitStats, rep *CoprocReport) {
 }
 
 // checkCoprocGroup asserts the model policy never measurably loses to the
-// better pinned single-backend control of its (zipf, hostpar) group, and
+// better pinned single-backend control of its zipf group, and
 // — strictly, at deep skew — that the model fragments the hot partition
 // and measurably beats that control: at zipf >= fragmentGateZipf an
 // atomic (whole-partition) placement cannot win, so a model cell that
@@ -266,8 +257,8 @@ func checkCoprocGroup(group []CoprocCell, rep *CoprocReport) {
 	limit := int64(maxRegression*float64(better)) + regressionEpsilonNs
 	if model.MakespanNS > limit {
 		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"model policy hostpar=%d @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
-			model.HostParallelism, model.Zipf,
+			"model policy @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
+			model.Zipf,
 			FormatDuration(time.Duration(model.MakespanNS)),
 			(maxRegression-1)*100,
 			FormatDuration(time.Duration(better))))
@@ -275,20 +266,20 @@ func checkCoprocGroup(group []CoprocCell, rep *CoprocReport) {
 	if model.Zipf >= fragmentGateZipf {
 		if !model.Fragmented {
 			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"model policy hostpar=%d @ zipf %.2f: deep-skew cell did not fragment the hot partition",
-				model.HostParallelism, model.Zipf))
+				"model policy @ zipf %.2f: deep-skew cell did not fragment the hot partition",
+				model.Zipf))
 		}
 		if model.MakespanNS >= better {
 			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"model policy hostpar=%d @ zipf %.2f: fragmented makespan %s does not beat better control %s",
-				model.HostParallelism, model.Zipf,
+				"model policy @ zipf %.2f: fragmented makespan %s does not beat better control %s",
+				model.Zipf,
 				FormatDuration(time.Duration(model.MakespanNS)),
 				FormatDuration(time.Duration(better))))
 		}
 	}
 }
 
-// Fprint renders the report: one block per (zipf, hostpar) group, one
+// Fprint renders the report: one block per zipf group, one
 // line per policy with the join-side makespan, the model's prediction
 // error, and the placement shape.
 func (rep *CoprocReport) Fprint(w io.Writer) {
@@ -298,26 +289,24 @@ func (rep *CoprocReport) Fprint(w io.Writer) {
 		rep.Calibration.BuildNsPerTuple, rep.Calibration.ProbeNsPerUnit)
 	fmt.Fprintf(w, "makespan = max(CPU busy time, modelled GPU time) of the join phase\n")
 	for _, z := range rep.Zipfs {
-		for _, hp := range rep.Hostpars {
-			fmt.Fprintf(w, "-- zipf %.2f, hostpar %d --\n", z, hp)
-			for _, c := range rep.Cells {
-				if c.Zipf != z || c.HostParallelism != hp {
-					continue
-				}
-				shape := fmt.Sprintf("split %d/%d", c.CPUParts, c.GPUParts)
-				if c.Fragmented {
-					shape += fmt.Sprintf("+f%d/%d", c.CPUFragments, c.GPUFragments)
-				}
-				if !c.Split {
-					shape = "all-" + c.Degenerate
-				}
-				fmt.Fprintf(w, "%-7s %-12s  makespan %10s  cpu %10s  gpu %10s  pred-err %5.1f%%\n",
-					c.Policy, shape,
-					FormatDuration(time.Duration(c.MakespanNS)),
-					FormatDuration(time.Duration(c.CPUJoinNS)),
-					FormatDuration(time.Duration(c.GPUJoinNS+c.GPUTransferNS)),
-					c.PredErrPct)
+		fmt.Fprintf(w, "-- zipf %.2f --\n", z)
+		for _, c := range rep.Cells {
+			if c.Zipf != z {
+				continue
 			}
+			shape := fmt.Sprintf("split %d/%d", c.CPUParts, c.GPUParts)
+			if c.Fragmented {
+				shape += fmt.Sprintf("+f%d/%d", c.CPUFragments, c.GPUFragments)
+			}
+			if !c.Split {
+				shape = "all-" + c.Degenerate
+			}
+			fmt.Fprintf(w, "%-7s %-12s  makespan %10s  cpu %10s  gpu %10s  pred-err %5.1f%%\n",
+				c.Policy, shape,
+				FormatDuration(time.Duration(c.MakespanNS)),
+				FormatDuration(time.Duration(c.CPUJoinNS)),
+				FormatDuration(time.Duration(c.GPUJoinNS+c.GPUTransferNS)),
+				c.PredErrPct)
 		}
 	}
 	for _, e := range rep.Errors {

@@ -51,10 +51,10 @@ func Memory(cfg Config) (*MemoryReport, error) {
 			return csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads}).Summary
 		}},
 		{"gbase", func(w Workload) outbuf.Summary {
-			return gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device}).Summary
+			return gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads}).Summary
 		}},
 		{"gsh", func(w Workload) outbuf.Summary {
-			return gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device}).Summary
+			return gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads}).Summary
 		}},
 		{"smj", func(w Workload) outbuf.Summary {
 			return smj.Join(w.R, w.S, smj.Config{Threads: cfg.Threads}).Summary

@@ -46,15 +46,15 @@ func SortVsHash(cfg Config) (*Report, error) {
 		rep.verify("smj", z, sm.Summary, w.Expected)
 		rows[2].Cells = append(rows[2].Cells, Cell{Duration: sm.Total()})
 
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gbase", z, gb.Summary, w.Expected)
 		rows[3].Cells = append(rows[3].Cells, Cell{Duration: gb.Total(), Modelled: true})
 
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gsh", z, gs.Summary, w.Expected)
 		rows[4].Cells = append(rows[4].Cells, Cell{Duration: gs.Total(), Modelled: true})
 
-		gm := gsmj.Join(w.R, w.S, gsmj.Config{Device: cfg.Device})
+		gm := gsmj.Join(w.R, w.S, gsmj.Config{Device: cfg.Device, Threads: cfg.Threads})
 		rep.verify("gsmj", z, gm.Summary, w.Expected)
 		rows[5].Cells = append(rows[5].Cells, Cell{Duration: gm.Total(), Modelled: true})
 	}

@@ -69,15 +69,15 @@ func SSkew(cfg Config) (*SSkewReport, error) {
 		verify("csh", cs.Summary)
 		rows[1].Cells = append(rows[1].Cells, Cell{Duration: cs.Total()})
 
-		gb := gbase.Join(r, s, gbase.Config{Device: cfg.Device})
+		gb := gbase.Join(r, s, gbase.Config{Device: cfg.Device, Threads: cfg.Threads})
 		verify("gbase", gb.Summary)
 		rows[2].Cells = append(rows[2].Cells, Cell{Duration: gb.Total(), Modelled: true})
 
-		gp := gsh.Join(r, s, gsh.Config{Device: cfg.Device, STileTuples: -1})
+		gp := gsh.Join(r, s, gsh.Config{Device: cfg.Device, Threads: cfg.Threads, STileTuples: -1})
 		verify("gsh-paper", gp.Summary)
 		rows[3].Cells = append(rows[3].Cells, Cell{Duration: gp.Total(), Modelled: true})
 
-		gt := gsh.Join(r, s, gsh.Config{Device: cfg.Device})
+		gt := gsh.Join(r, s, gsh.Config{Device: cfg.Device, Threads: cfg.Threads})
 		verify("gsh-tiled", gt.Summary)
 		rows[4].Cells = append(rows[4].Cells, Cell{Duration: gt.Total(), Modelled: true})
 	}

@@ -720,12 +720,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 // × split-probe hot call where the shard's split fragment is non-empty.
 func (rt *Router) callsFor(sh *shard, req service.JoinRequest, shardConsumer string, hot hotSet, fs *fragSet) []service.JoinRequest {
 	base := service.JoinRequest{
-		Algorithm:       req.Algorithm,
-		Backend:         req.Backend,
-		Device:          req.Device,
-		Threads:         req.Threads,
-		HostParallelism: req.HostParallelism,
-		Consumer:        shardConsumer,
+		Algorithm: req.Algorithm,
+		Backend:   req.Backend,
+		Device:    req.Device,
+		Threads:   req.Threads,
+		Consumer:  shardConsumer,
 	}
 	cold := base
 	cold.R, cold.S = req.R, req.S

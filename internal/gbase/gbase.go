@@ -38,6 +38,10 @@ import (
 type Config struct {
 	// Device configures the simulated GPU (zero fields = A100).
 	Device gpusim.Config
+	// Threads is the number of host workers simulating the thread blocks
+	// (default: all cores). Modelled times, stats and output are
+	// identical for every value; it only changes wall-clock time.
+	Threads int
 	// BucketTuples is the linked-bucket granularity of the partition phase
 	// (default 512): one bucket-allocation atomic per BucketTuples tuples.
 	BucketTuples int
@@ -62,6 +66,9 @@ type Config struct {
 // Defaults fills zero fields.
 func (c Config) Defaults() Config {
 	c.Device = c.Device.Defaults()
+	if c.Threads <= 0 {
+		c.Threads = exec.DefaultThreads()
+	}
 	if c.BucketTuples <= 0 {
 		c.BucketTuples = 512
 	}
@@ -107,6 +114,7 @@ func (r Result) Total() time.Duration {
 func Join(r, s relation.Relation, cfg Config) Result {
 	cfg = cfg.Defaults()
 	dev := gpusim.NewDevice(cfg.Device)
+	dev.SetWorkers(cfg.Threads)
 	if cfg.Flush != nil {
 		dev.SetFlush(cfg.Flush)
 	}

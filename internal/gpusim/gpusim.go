@@ -63,18 +63,6 @@ type Config struct {
 	// §II-B, precisely because this link is so much slower than the
 	// 1555 GB/s global memory).
 	PCIeBandwidth float64
-
-	// HostParallelism is the number of host worker goroutines that
-	// execute a launch's thread blocks (functional execution plus cost
-	// accounting). 0 or negative — the default — runs blocks serially on
-	// the calling goroutine, the seed behaviour. N > 0 runs blocks on a
-	// pool of min(N, blocks) workers claiming block chunks from a
-	// lock-free fetch-add queue (internal/exec); every block charges a
-	// private cost accumulator and stages its output on a private tape,
-	// and the results are merged in block-index order, so modelled
-	// cycles, Stats and output are bit-identical to serial execution.
-	// The knob changes only host wall-clock time, never modelled time.
-	HostParallelism int
 }
 
 // A100 returns the configuration modelling the paper's GPU.
@@ -235,11 +223,12 @@ type LaunchRecord struct {
 // summaries and stats across kernel launches; use one Device per join run.
 // Not safe for concurrent launches: overlapping Launch, Serialize or
 // Transfer calls corrupt the accumulated state, and under the `sanitize`
-// build tag they are detected and abort with a diagnostic panic. (With
-// Config.HostParallelism > 0 a single Launch fans its blocks out over
-// host workers internally; that is the supported way to parallelise.)
+// build tag they are detected and abort with a diagnostic panic. (After
+// SetWorkers a single Launch fans its blocks out over host workers
+// internally; that is the supported way to parallelise.)
 type Device struct {
 	cfg     Config
+	workers int // host goroutines executing a launch's blocks (SetWorkers)
 	records []LaunchRecord
 	stats   Stats
 	bufs    []*outbuf.Buffer // one per SM, shared by blocks scheduled there
@@ -256,7 +245,7 @@ type Device struct {
 func (d *Device) enter(api string) {
 	if sanitize.Enabled {
 		if !d.busy.CompareAndSwap(0, 1) {
-			sanitize.Failf("gpusim: concurrent %s on one Device (a Device is single-owner; use Config.HostParallelism to parallelise a launch)", api)
+			sanitize.Failf("gpusim: concurrent %s on one Device (a Device is single-owner; use SetWorkers to parallelise a launch)", api)
 		}
 	}
 }
@@ -272,7 +261,7 @@ func (d *Device) leave() {
 // filled with A100 values).
 func NewDevice(cfg Config) *Device {
 	cfg = cfg.Defaults()
-	d := &Device{cfg: cfg}
+	d := &Device{cfg: cfg, workers: 1}
 	d.bufs = make([]*outbuf.Buffer, cfg.NumSMs)
 	for i := range d.bufs {
 		d.bufs[i] = outbuf.New(0)
@@ -284,6 +273,12 @@ func NewDevice(cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
+// SetWorkers sets how many host goroutines execute a launch's thread
+// blocks (default 1). It is a host property, not a device one: modelled
+// cycles, Stats, records and output summaries are identical for every
+// worker count, and only the wall-clock cost of simulation changes.
+func (d *Device) SetWorkers(n int) { d.workers = n }
+
 // PartitionCapacityTuples is the number of 8-byte tuples of one partition
 // that fit in shared memory together with its chained hash table (heads +
 // next links, 8 bytes per tuple with load factor 1).
@@ -293,7 +288,7 @@ func (d *Device) PartitionCapacityTuples() int {
 
 // Block is the kernel-side handle: identity plus cost accounting plus the
 // output destination — the SM's shared buffer in serial execution, a
-// private staging tape in host-parallel execution. A Block is only valid
+// private outbuf.Tally on the host worker pool. A Block is only valid
 // for the duration of the kernel call; kernels must not retain it.
 type Block struct {
 	Idx    int
@@ -307,21 +302,23 @@ type Block struct {
 // the SM array, accounts the launch under phase, and returns the modelled
 // launch duration. Modelled cycles are whatever the blocks charged.
 //
-// With Config.HostParallelism <= 0 blocks execute functionally in index
-// order on the calling goroutine. With N > 0 they execute on a pool of N
-// host workers; each block's cost, stats and output are staged privately
-// and merged in block-index order (see hostparallel.go), so the launch's
-// records, stats and output are bit-identical either way. Kernels must
-// confine functional side effects to the Block (cost methods, Out) and
-// per-block state — e.g. write to slot Idx of a results slice — never to
-// memory shared across blocks.
+// Blocks execute functionally in index order on the calling goroutine
+// when the device has one worker or a flush consumer is installed: the
+// consumer observes the record stream, so it must see every batch in
+// block order at the same ring boundaries. Otherwise they execute on a
+// pool of SetWorkers host goroutines; each block's cost, stats and output
+// summary are staged privately and merged in block-index order (see
+// pool.go), so the launch's records, stats and output summary are
+// identical either way. Kernels must confine functional side effects to
+// the Block (cost methods, Out) and per-block state — e.g. write to slot
+// Idx of a results slice — never to memory shared across blocks.
 func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) time.Duration {
 	d.enter("Launch")
 	defer d.leave()
 	cfg := d.cfg
 	cycles := make([]float64, blocks)
 	var sum, maxb float64
-	if workers := hostWorkers(cfg.HostParallelism, blocks); workers > 0 {
+	if workers := hostWorkers(d.workers, blocks); workers > 0 && !d.hasFlush() {
 		sum, maxb = d.runBlocksParallel(workers, blocks, kernel, cycles)
 	} else {
 		sum, maxb = d.runBlocksSerial(blocks, kernel, cycles)
@@ -345,10 +342,10 @@ func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) t
 }
 
 // runBlocksSerial executes the launch's blocks in index order on the
-// calling goroutine — the seed path. Blocks write straight into their
-// SM's shared output ring; per-block stats fold into the device after
-// each block. One Block handle is reused across iterations so the loop's
-// steady-state allocation count stays pinned (see the AllocsPerRun test).
+// calling goroutine. Blocks write straight into their SM's shared output
+// ring; per-block stats fold into the device after each block. One Block
+// handle is reused across iterations so the loop's steady-state
+// allocation count stays pinned (see the AllocsPerRun test).
 //
 //skewlint:hotpath
 func (d *Device) runBlocksSerial(blocks int, kernel func(b *Block), cycles []float64) (sum, maxb float64) {
@@ -507,8 +504,7 @@ func (d *Device) Stats() Stats { return d.stats }
 func (d *Device) OutputSummary() outbuf.Summary { return outbuf.Summarize(d.bufs) }
 
 // hasFlush reports whether any SM output buffer has a flush consumer
-// installed — the condition under which host-parallel staging must
-// retain full record tapes rather than summary-only scalars.
+// installed — the condition under which a launch must run serially.
 func (d *Device) hasFlush() bool {
 	for i := range d.bufs {
 		if d.bufs[i].HasFlush() {

@@ -1,16 +1,16 @@
-// Host-parallel block execution: the worker-pool path behind
-// Config.HostParallelism.
+// Host-parallel block execution: the worker-pool path of Launch.
 //
 // The simulated makespan of a launch is already order-independent — it is
 // a function of the per-block cycle vector, which schedule() folds over a
-// deterministic earliest-free-SM heap. What is NOT order-independent in
-// the serial seed path is the functional side: blocks write interleaved
-// into per-SM output rings, and stats fold into the device as they go. So
-// the parallel path stages everything per block — a private cycle count, a
-// private Stats accumulator and a private output tape — and merges the
-// staged results in block-index order once all blocks have run. Merge
-// order, not execution order, defines the result; any worker interleaving
-// therefore produces bit-identical records, stats and output.
+// deterministic earliest-free-SM heap. What is NOT order-independent is
+// the functional side: blocks write interleaved into per-SM output rings,
+// and stats fold into the device as they go. With a flush consumer
+// installed the interleaving is observable, so such launches always run
+// serially. Without one, only each ring's count and linear checksum
+// survive, so the pool stages per block just its cycles, its Stats and an
+// outbuf.Tally, and merges them in block-index order once all blocks have
+// run. Any worker interleaving therefore produces identical records,
+// stats and output summary.
 //
 // Workers claim chunks of consecutive block indices from the lock-free
 // fetch-add queue of internal/exec (the same dynamic-task-queue substrate
@@ -24,24 +24,25 @@ import (
 	"skewjoin/internal/outbuf"
 )
 
-// hostWorkers resolves the worker-pool size for a launch: 0 means the
-// serial seed path. A positive HostParallelism is clamped to the block
-// count (extra workers would only spin on an empty queue).
-func hostWorkers(hostParallelism, blocks int) int {
-	if hostParallelism <= 0 || blocks == 0 {
+// hostWorkers resolves the worker-pool size for a launch of `blocks`
+// blocks on `workers` host goroutines: 0 means the serial path (one
+// worker, or a launch too small to share), and the pool never exceeds the
+// block count (extra workers would only spin on an empty queue).
+func hostWorkers(workers, blocks int) int {
+	if workers > blocks {
+		workers = blocks
+	}
+	if workers <= 1 {
 		return 0
 	}
-	if hostParallelism > blocks {
-		return blocks
-	}
-	return hostParallelism
+	return workers
 }
 
 // blockStage is one block's privately staged execution result.
 type blockStage struct {
 	cycles float64
 	stats  Stats
-	tape   outbuf.Tape
+	out    outbuf.Tally
 }
 
 // launchChunk is how many consecutive blocks one queue claim hands a
@@ -61,20 +62,10 @@ func launchChunk(blocks, workers int) int {
 
 // runBlocksParallel executes the launch's blocks on a pool of `workers`
 // goroutines and merges the staged per-block results in block-index
-// order, reproducing runBlocksSerial bit for bit: cycles[] is filled
-// identically, stats deltas fold in the same order, and each tape replays
-// into the block's per-SM ring exactly the pushes the block would have
-// issued directly — including flush-batch boundaries.
+// order, reproducing runBlocksSerial's cycles[], stats and per-SM output
+// summaries exactly. Only valid when no SM buffer has a flush consumer.
 func (d *Device) runBlocksParallel(workers, blocks int, kernel func(b *Block), cycles []float64) (sum, maxb float64) {
 	stages := make([]blockStage, blocks)
-	// Without flush consumers the record stream is unobservable, so the
-	// tapes stage only the count and checksum — a skewed launch's output
-	// no longer materialises in host memory (gigabytes at high zipf).
-	if !d.hasFlush() {
-		for i := range stages {
-			stages[i].tape.SummaryOnly()
-		}
-	}
 	chunk := launchChunk(blocks, workers)
 	starts := make([]int, 0, (blocks+chunk-1)/chunk)
 	for lo := 0; lo < blocks; lo += chunk {
@@ -89,7 +80,7 @@ func (d *Device) runBlocksParallel(workers, blocks int, kernel func(b *Block), c
 		for i := lo; i < hi; i++ {
 			st := &stages[i]
 			b.Idx = i
-			b.Out = &st.tape
+			b.Out = &st.out
 			b.cycles = 0
 			b.stats = Stats{}
 			kernel(b)
@@ -107,7 +98,7 @@ func (d *Device) runBlocksParallel(workers, blocks int, kernel func(b *Block), c
 			maxb = st.cycles
 		}
 		d.stats.add(st.stats)
-		st.tape.Replay(d.bufs[i%d.cfg.NumSMs])
+		st.out.AddTo(d.bufs[i%d.cfg.NumSMs])
 	}
 	return sum, maxb
 }

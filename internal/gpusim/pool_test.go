@@ -48,18 +48,23 @@ func stressKernel(seed int64) func(b *Block) {
 	}
 }
 
-// launchSweep runs a few launches of different shapes on one device,
-// recording every flush batch per SM, and returns the flush streams.
-func launchSweep(cfg Config, seed int64) (*Device, [][][]outbuf.Result) {
+// launchSweep runs a few launches of different shapes on a device with
+// the given host worker count. With flush set it records every flush
+// batch per SM and returns the flush streams; without it the SM rings
+// have no consumer and the launches may run on the worker pool.
+func launchSweep(cfg Config, workers int, flush bool, seed int64) (*Device, [][][]outbuf.Result) {
 	dev := NewDevice(cfg)
+	dev.SetWorkers(workers)
 	streams := make([][][]outbuf.Result, cfg.NumSMs)
-	dev.SetFlush(func(sm int) outbuf.FlushFunc {
-		return func(batch []outbuf.Result) {
-			cp := make([]outbuf.Result, len(batch))
-			copy(cp, batch)
-			streams[sm] = append(streams[sm], cp)
-		}
-	})
+	if flush {
+		dev.SetFlush(func(sm int) outbuf.FlushFunc {
+			return func(batch []outbuf.Result) {
+				cp := make([]outbuf.Result, len(batch))
+				copy(cp, batch)
+				streams[sm] = append(streams[sm], cp)
+			}
+		})
+	}
 	for i, blocks := range []int{1, 3, 64, 257} {
 		dev.Launch("phase", fmt.Sprintf("stress-%d", blocks), blocks, stressKernel(seed+int64(i)))
 	}
@@ -68,55 +73,56 @@ func launchSweep(cfg Config, seed int64) (*Device, [][][]outbuf.Result) {
 	return dev, streams
 }
 
-// TestHostParallelismBitIdentical is the tentpole invariant: for every
-// worker-pool size, a device run under HostParallelism must reproduce the
-// serial device bit for bit — launch records (incl. float makespans),
-// stats, total elapsed time, output summary, and the exact flush batch
-// streams of every SM ring.
-func TestHostParallelismBitIdentical(t *testing.T) {
+// TestLaunchWorkersBitIdentical is the worker-pool invariant: for every
+// host worker count, a device must reproduce the one-worker device bit
+// for bit — launch records (incl. float makespans), stats, total elapsed
+// time and output summary — and, with a flush consumer installed, the
+// exact flush batch streams of every SM ring.
+func TestLaunchWorkersBitIdentical(t *testing.T) {
 	base := Config{NumSMs: 8, SharedMemBytes: 4 << 10}
-	serialDev, serialStreams := launchSweep(base, 99)
-
-	for _, par := range []int{1, 2, 4, 16} {
-		cfg := base
-		cfg.HostParallelism = par
-		parDev, parStreams := launchSweep(cfg, 99)
-
-		if !reflect.DeepEqual(parDev.Records(), serialDev.Records()) {
-			t.Fatalf("par=%d: launch records differ\npar:    %+v\nserial: %+v",
-				par, parDev.Records(), serialDev.Records())
-		}
-		if parDev.Stats() != serialDev.Stats() {
-			t.Fatalf("par=%d: stats differ\npar:    %+v\nserial: %+v",
-				par, parDev.Stats(), serialDev.Stats())
-		}
-		if parDev.Elapsed() != serialDev.Elapsed() {
-			t.Fatalf("par=%d: elapsed %v != serial %v", par, parDev.Elapsed(), serialDev.Elapsed())
-		}
-		if parDev.OutputSummary() != serialDev.OutputSummary() {
-			t.Fatalf("par=%d: output summary %+v != serial %+v",
-				par, parDev.OutputSummary(), serialDev.OutputSummary())
-		}
-		if !reflect.DeepEqual(parStreams, serialStreams) {
-			t.Fatalf("par=%d: flush batch streams differ from serial", par)
+	for _, flush := range []bool{false, true} {
+		serialDev, serialStreams := launchSweep(base, 1, flush, 99)
+		for _, workers := range []int{2, 4, 16} {
+			dev, streams := launchSweep(base, workers, flush, 99)
+			name := fmt.Sprintf("flush=%v/workers=%d", flush, workers)
+			if !reflect.DeepEqual(dev.Records(), serialDev.Records()) {
+				t.Fatalf("%s: launch records differ\npool:   %+v\nserial: %+v",
+					name, dev.Records(), serialDev.Records())
+			}
+			if dev.Stats() != serialDev.Stats() {
+				t.Fatalf("%s: stats differ\npool:   %+v\nserial: %+v",
+					name, dev.Stats(), serialDev.Stats())
+			}
+			if dev.Elapsed() != serialDev.Elapsed() {
+				t.Fatalf("%s: elapsed %v != serial %v", name, dev.Elapsed(), serialDev.Elapsed())
+			}
+			if dev.OutputSummary() != serialDev.OutputSummary() {
+				t.Fatalf("%s: output summary %+v != serial %+v",
+					name, dev.OutputSummary(), serialDev.OutputSummary())
+			}
+			if !reflect.DeepEqual(streams, serialStreams) {
+				t.Fatalf("%s: flush batch streams differ from serial", name)
+			}
 		}
 	}
 }
 
-// TestHostWorkers pins the pool-size resolution: non-positive settings
-// mean serial, and the pool never exceeds the block count.
+// TestHostWorkers pins the pool-size resolution: one worker or fewer, or
+// a launch of at most one block, means serial, and the pool never exceeds
+// the block count.
 func TestHostWorkers(t *testing.T) {
-	cases := []struct{ par, blocks, want int }{
+	cases := []struct{ workers, blocks, want int }{
 		{0, 100, 0},
 		{-3, 100, 0},
-		{1, 100, 1},
+		{1, 100, 0},
 		{4, 100, 4},
 		{8, 3, 3},
+		{4, 1, 0},
 		{4, 0, 0},
 	}
 	for _, c := range cases {
-		if got := hostWorkers(c.par, c.blocks); got != c.want {
-			t.Errorf("hostWorkers(%d, %d) = %d, want %d", c.par, c.blocks, got, c.want)
+		if got := hostWorkers(c.workers, c.blocks); got != c.want {
+			t.Errorf("hostWorkers(%d, %d) = %d, want %d", c.workers, c.blocks, got, c.want)
 		}
 	}
 }
@@ -137,8 +143,8 @@ func TestLaunchChunk(t *testing.T) {
 // TestHostParallelEmptyLaunch: a zero-block launch must not spin up the
 // pool and must behave exactly like serial.
 func TestHostParallelEmptyLaunch(t *testing.T) {
-	cfg := Config{NumSMs: 4, HostParallelism: 4}
-	dev := NewDevice(cfg)
+	dev := NewDevice(Config{NumSMs: 4})
+	dev.SetWorkers(4)
 	dur := dev.Launch("p", "empty", 0, func(b *Block) { t.Error("kernel ran for 0 blocks") })
 	if dur <= 0 {
 		t.Errorf("empty launch duration %v, want launch overhead > 0", dur)

@@ -42,6 +42,10 @@ import (
 type Config struct {
 	// Device configures the simulated GPU (zero fields = A100).
 	Device gpusim.Config
+	// Threads is the number of host workers simulating the thread blocks
+	// (default: all cores). Modelled times, stats and output are
+	// identical for every value; it only changes wall-clock time.
+	Threads int
 	// SampleRate is the fraction of a large partition sampled for skew
 	// detection (paper example: 1%).
 	SampleRate float64
@@ -79,6 +83,9 @@ type Config struct {
 // Defaults fills zero fields with the paper's example parameters.
 func (c Config) Defaults() Config {
 	c.Device = c.Device.Defaults()
+	if c.Threads <= 0 {
+		c.Threads = exec.DefaultThreads()
+	}
 	if c.SampleRate <= 0 {
 		c.SampleRate = 0.01
 	}
@@ -161,6 +168,7 @@ type pair struct {
 func Join(r, s relation.Relation, cfg Config) Result {
 	cfg = cfg.Defaults()
 	dev := gpusim.NewDevice(cfg.Device)
+	dev.SetWorkers(cfg.Threads)
 	if cfg.Flush != nil {
 		dev.SetFlush(cfg.Flush)
 	}

@@ -10,63 +10,60 @@ import (
 	"skewjoin/internal/outbuf"
 )
 
-// TestHostParallelismOutputInvariant is the golden variant sweep for the
-// host-parallel simulator knob, mirroring internal/cbase/variants_test.go.
-// GSH has the most execution-order hazards of the GPU joins — detect
-// merges top-k key sets across blocks, divide appends to shared per-key
-// arrays, skew-join replays retained payload runs — so every
-// HostParallelism setting must reproduce the serial run bit for bit:
-// summary, per-phase modelled times, launch trace and stats. Both the
-// regular post-partition design and the DetectBefore ablation are swept.
-func TestHostParallelismOutputInvariant(t *testing.T) {
+// TestThreadCountOutputInvariant sweeps the host workers simulating the
+// thread blocks. GSH has the most execution-order hazards of the GPU
+// joins — detect merges top-k key sets across blocks, divide appends to
+// shared per-key arrays, skew-join emits payload runs — so every Threads
+// setting must reproduce the one-thread run bit for bit: summary,
+// per-phase modelled times, launch trace and stats. Both the regular
+// post-partition design and the DetectBefore ablation are swept.
+func TestThreadCountOutputInvariant(t *testing.T) {
 	for _, theta := range []float64{0, 0.8} {
 		for _, detectBefore := range []bool{false, true} {
 			r, s := workload(t, 20000, theta, 33)
 			want := oracle.Expected(r, s)
 			var base Result
-			for _, hp := range []int{0, 1, 4} {
+			for _, threads := range []int{1, 2, 4} {
 				cfg := Config{
-					Device: gpusim.Config{
-						NumSMs: 16, SharedMemBytes: 4 << 10, HostParallelism: hp,
-					},
+					Device:       gpusim.Config{NumSMs: 16, SharedMemBytes: 4 << 10},
+					Threads:      threads,
 					DetectBefore: detectBefore,
 				}
 				res := Join(r, s, cfg)
-				name := fmt.Sprintf("theta=%g/detectbefore=%v/hostpar=%d", theta, detectBefore, hp)
+				name := fmt.Sprintf("theta=%g/detectbefore=%v/threads=%d", theta, detectBefore, threads)
 				if res.Summary != want {
 					t.Fatalf("%s: summary %+v, oracle %+v", name, res.Summary, want)
 				}
-				if hp == 0 {
+				if threads == 1 {
 					base = res
 					continue
 				}
 				if !reflect.DeepEqual(res.Phases, base.Phases) {
-					t.Errorf("%s: phases differ from serial\ngot:  %+v\nwant: %+v", name, res.Phases, base.Phases)
+					t.Errorf("%s: phases differ from one thread\ngot:  %+v\nwant: %+v", name, res.Phases, base.Phases)
 				}
 				if !reflect.DeepEqual(res.Trace, base.Trace) {
-					t.Errorf("%s: launch trace differs from serial", name)
+					t.Errorf("%s: launch trace differs from one thread", name)
 				}
 				if res.Stats != base.Stats {
-					t.Errorf("%s: stats differ from serial\ngot:  %+v\nwant: %+v", name, res.Stats, base.Stats)
+					t.Errorf("%s: stats differ from one thread\ngot:  %+v\nwant: %+v", name, res.Stats, base.Stats)
 				}
 			}
 		}
 	}
 }
 
-// TestHostParallelismWithFlushConsumer drives the host-parallel path with
+// TestThreadCountWithFlushConsumer runs GSH at several thread counts with
 // a per-SM flush consumer installed and a shared-memory budget small
 // enough that several partitions run large: the consumer must observe an
-// identical batch stream to serial execution (the tape-replay guarantee),
-// not merely an identical final summary.
-func TestHostParallelismWithFlushConsumer(t *testing.T) {
+// identical batch stream for every Threads setting (a consumer forces
+// in-order block execution), not merely an identical final summary.
+func TestThreadCountWithFlushConsumer(t *testing.T) {
 	r, s := workload(t, 20000, 1.0, 35)
-	run := func(hp int) [][]int {
+	run := func(threads int) [][]int {
 		var streams [][]int
 		cfg := Config{
-			Device: gpusim.Config{
-				NumSMs: 8, SharedMemBytes: 2 << 10, HostParallelism: hp,
-			},
+			Device:  gpusim.Config{NumSMs: 8, SharedMemBytes: 2 << 10},
+			Threads: threads,
 			Flush: func(sm int) outbuf.FlushFunc {
 				return func(batch []outbuf.Result) {
 					row := make([]int, 0, len(batch)+1)
@@ -81,13 +78,13 @@ func TestHostParallelismWithFlushConsumer(t *testing.T) {
 		Join(r, s, cfg)
 		return streams
 	}
-	serial := run(0)
+	serial := run(1)
 	if len(serial) == 0 {
 		t.Fatal("no flush batches observed; shrink the ring or grow the workload")
 	}
-	for _, hp := range []int{1, 4} {
-		if got := run(hp); !reflect.DeepEqual(got, serial) {
-			t.Errorf("hostpar=%d: flush batch stream differs from serial", hp)
+	for _, threads := range []int{2, 4} {
+		if got := run(threads); !reflect.DeepEqual(got, serial) {
+			t.Errorf("threads=%d: flush batch stream differs from one thread", threads)
 		}
 	}
 }

@@ -32,6 +32,10 @@ import (
 type Config struct {
 	// Device configures the simulated GPU (zero fields = A100).
 	Device gpusim.Config
+	// Threads is the number of host workers simulating the thread blocks
+	// (default: all cores). Modelled times, stats and output are
+	// identical for every value; it only changes wall-clock time.
+	Threads int
 	// RunTileTuples tiles the S side of an equal-key run in the merge
 	// phase when the run's cross product exceeds one block's worth of
 	// work. 0 = the shared-memory partition capacity; negative disables
@@ -42,6 +46,9 @@ type Config struct {
 // Defaults fills zero fields.
 func (c Config) Defaults() Config {
 	c.Device = c.Device.Defaults()
+	if c.Threads <= 0 {
+		c.Threads = exec.DefaultThreads()
+	}
 	return c
 }
 
@@ -75,6 +82,7 @@ func (r Result) Total() time.Duration {
 func Join(r, s relation.Relation, cfg Config) Result {
 	cfg = cfg.Defaults()
 	dev := gpusim.NewDevice(cfg.Device)
+	dev.SetWorkers(cfg.Threads)
 	var res Result
 
 	// Sort phase: modelled cost of 4 LSD passes per table; functional
@@ -275,15 +283,12 @@ func collectTasks(sr, ss []relation.Tuple, loKey, hiKey uint64, rc *runCollector
 // emitRuns merges two sorted ranges, emitting every equal-key cross
 // product except the tiled ones (which were already peeled into their own
 // tasks — they cannot appear here because tiling removed them from the
-// range task's bounds). Returns the number of results emitted.
-//
-// Run payloads are staged in an append-only arena rather than a reused
-// scratch slice: a Writer may retain the run slice past the call (the
-// host-parallel Tape does), so earlier runs must never be overwritten.
+// range task's bounds). Returns the number of results emitted. Each run's
+// R payloads are staged in one scratch slice reused across runs.
 func emitRuns(rRange, sRange []relation.Tuple, tile int, out outbuf.Writer) uint64 {
 	before := out.Count()
 	ri, si := 0, 0
-	var arena []relation.Payload
+	var rps []relation.Payload
 	for ri < len(rRange) && si < len(sRange) {
 		rk, sk := rRange[ri].Key, sRange[si].Key
 		switch {
@@ -301,11 +306,10 @@ func emitRuns(rRange, sRange []relation.Tuple, tile int, out outbuf.Writer) uint
 			for sEnd < len(sRange) && sRange[sEnd].Key == key {
 				sEnd++
 			}
-			start := len(arena)
+			rps = rps[:0]
 			for _, t := range rRange[ri:rEnd] {
-				arena = append(arena, t.Payload)
+				rps = append(rps, t.Payload)
 			}
-			rps := arena[start:len(arena):len(arena)]
 			for _, t := range sRange[si:sEnd] {
 				out.PushRun(key, rps, t.Payload)
 			}

@@ -83,7 +83,7 @@ func (b *Buffer) SetFlush(fn FlushFunc) { b.onFlush = fn }
 
 // HasFlush reports whether a consumer is installed. Without one the
 // record stream is unobservable (the ring overwrites and Flush is a
-// no-op), which is what licenses Tape.SummaryOnly staging.
+// no-op), which is what licenses staging a block's output in a Tally.
 func (b *Buffer) HasFlush() bool { return b.onFlush != nil }
 
 // Flush hands the not-yet-consumed tail of the ring to the consumer, if
@@ -155,8 +155,7 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }
 
-// PushBatch emits a staged batch of heterogeneous results in one call. A
-// Tape replays its recorded single results through it: one call,
+// PushBatch emits a staged batch of heterogeneous results in one call:
 // locals-cached ring cursor, and a single count/checksum update per batch
 // instead of per result. The batch slice is the caller's scratch and is
 // not retained.

@@ -95,14 +95,10 @@ type JoinRequest struct {
 	// pays off).
 	Device string `json:"device,omitempty"`
 	// Threads is this request's worker-thread weight against the server's
-	// admission budget (default: the whole budget; clamped to it).
+	// admission budget (default: the whole budget; clamped to it). A GPU
+	// join (gbase/gsh/gsmj) simulates its thread blocks on that many host
+	// workers; output and modelled times do not depend on it.
 	Threads int `json:"threads,omitempty"`
-	// HostParallelism sets the host worker-pool size for simulated-GPU
-	// block execution (gbase/gsh/gsmj): N>0 runs kernel launches on N
-	// host workers (clamped to the request's admitted thread weight),
-	// negative forces serial simulation, 0 keeps the server default.
-	// Output and modelled times are bit-identical either way.
-	HostParallelism int `json:"host_parallelism,omitempty"`
 	// TimeoutMS bounds queue wait plus execution (default: the server's
 	// configured timeout). Expiry cancels the join and frees its workers.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -106,8 +106,10 @@ func (a Algorithm) IsGPU() bool { return a == Gbase || a == GSH || a == GSMJ }
 // Options tunes a join run. The zero value (or nil pointer) uses the
 // paper's example parameters everywhere.
 type Options struct {
-	// Threads is the CPU worker count for Cbase, CbaseNPJ and CSH
-	// (default: GOMAXPROCS; the paper used 20).
+	// Threads is the worker count (default: GOMAXPROCS; the paper used
+	// 20). It sizes the CPU joins and also the host workers that simulate
+	// the GPU joins' thread blocks (Gbase, GSH, GSMJ); the latter changes
+	// only wall-clock time, never modelled times or output.
 	Threads int
 	// Bits1/Bits2 are the CPU radix partitioning bits per pass.
 	Bits1, Bits2 uint32
@@ -120,13 +122,6 @@ type Options struct {
 	TopK int
 	// Device configures the simulated GPU (zero fields = A100).
 	Device DeviceConfig
-	// HostParallelism sets the host worker-pool size for executing the
-	// simulated GPU's thread blocks (Gbase, GSH, GSMJ). It overrides
-	// Device.HostParallelism when non-zero: N>0 runs launches on N host
-	// workers, negative forces the serial seed path. Parallel execution is
-	// bit-identical to serial — same output, stats and modelled times —
-	// and changes only the wall-clock cost of simulation.
-	HostParallelism int
 	// OutBufCap overrides the per-worker output ring capacity.
 	OutBufCap int
 	// Limit stops the run once at least this many results have been
@@ -336,15 +331,15 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		lim.annotate(&out)
 		return out, nil
 	case Gbase:
-		res := gbase.Join(r, s, gbase.Config{Device: opts.deviceConfig(), Flush: opts.Consumer})
+		res := gbase.Join(r, s, gbase.Config{Device: opts.Device, Threads: opts.Threads, Flush: opts.Consumer})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
 		}
 		return wrap(alg, res.Summary, phases(res.Phases), true), nil
 	case GSH:
 		res := gsh.Join(r, s, gsh.Config{
-			Device: opts.deviceConfig(), SampleRate: opts.SampleRate, TopK: opts.TopK,
-			Flush: opts.Consumer,
+			Device: opts.Device, Threads: opts.Threads,
+			SampleRate: opts.SampleRate, TopK: opts.TopK, Flush: opts.Consumer,
 		})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
@@ -382,7 +377,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 	case Split:
 		return joinSplit(r, s, opts)
 	case GSMJ:
-		res := gsmj.Join(r, s, gsmj.Config{Device: opts.deviceConfig()})
+		res := gsmj.Join(r, s, gsmj.Config{Device: opts.Device, Threads: opts.Threads})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
 		}
@@ -390,19 +385,6 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("skewjoin: unknown algorithm %q", alg)
 	}
-}
-
-// deviceConfig resolves the simulated-GPU configuration for a run,
-// applying the Options.HostParallelism override on top of Options.Device.
-func (o *Options) deviceConfig() DeviceConfig {
-	d := o.Device
-	switch {
-	case o.HostParallelism > 0:
-		d.HostParallelism = o.HostParallelism
-	case o.HostParallelism < 0:
-		d.HostParallelism = 0
-	}
-	return d
 }
 
 // ctxErr is ctx.Err() tolerating a nil context.

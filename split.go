@@ -124,8 +124,8 @@ func (st *SplitStats) JoinSideNs() int64 {
 
 // joinSplit is the co-processing executor: radix-partition both inputs
 // (overlapped, as cbase), plan the per-partition placement, then run the
-// CPU join workers and the host-parallel GPU simulation concurrently and
-// merge both output streams into the volcano consumers.
+// CPU join workers and the GPU simulation concurrently and merge both
+// output streams into the volcano consumers.
 func joinSplit(r, s Relation, opts *Options) (Result, error) {
 	ctx := opts.Context
 	threads := opts.Threads
@@ -137,7 +137,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 		bits1, bits2 = 6, 5
 	}
 	bits1, bits2 = radix.ClampBits(bits1, bits2)
-	dcfg := opts.deviceConfig().Defaults()
+	dcfg := opts.Device.Defaults()
 
 	var timer exec.PhaseTimer
 	rcfg := radix.Config{
@@ -333,9 +333,9 @@ type splitGPUTask struct {
 // an R partition larger than shared memory decomposed into sub-lists
 // (each re-probing its full S share, Gbase's skew behaviour the cost
 // model mirrors), and the D2H staging of the results. A fragment's
-// blocks replicate the full R side but probe only S[sLo:sHi). With
-// Options.HostParallelism > 0 the launch's blocks execute on a host
-// worker pool, bit-identically to serial execution.
+// blocks replicate the full R side but probe only S[sLo:sHi). The device
+// keeps its default single host worker: the CPU leg already holds the
+// join's threads, so the launch's blocks run on this goroutine.
 //
 //skewlint:hotpath
 func runSplitGPU(opts *Options, dev *gpusim.Device, pr, ps *radix.Partitioned, parts []int, frags []joinphase.ProbeRange) error {

@@ -59,7 +59,7 @@ func joinRecords(t *testing.T, alg Algorithm, r, s Relation, want Summary, opts 
 }
 
 // TestSplitDifferential is the co-processing correctness oracle: for every
-// skew level and host-parallelism setting, backend=split must emit the
+// skew level and thread count, backend=split must emit the
 // exact same record multiset as the CPU-only and GPU-only algorithms —
 // not just a matching checksum. SplitPolicyStatic forces a genuine
 // two-backend split even at test-sized inputs (the model policy's 25ms
@@ -70,7 +70,7 @@ func TestSplitDifferential(t *testing.T) {
 		if testing.Short() && theta == 0.75 {
 			continue // -short keeps the uniform and heavy-skew extremes
 		}
-		for _, hostpar := range []int{0, 4} {
+		for _, threads := range []int{1, 4} {
 			// 4096 tuples keeps the theta-1.25 output (the top key's cross
 			// product) small enough to canonically sort six times per cell.
 			r, s, err := GenerateZipfPair(4096, theta, 42)
@@ -80,24 +80,24 @@ func TestSplitDifferential(t *testing.T) {
 			want := Expected(r, s)
 			cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
 			base := Options{
-				Threads: 3, Device: CoupledDevice(), HostParallelism: hostpar,
+				Threads: threads, Device: CoupledDevice(),
 				Calibration: &cal,
 			}
 
 			cpuRecs := joinRecords(t, Cbase, r, s, want, Options{Threads: 3})
-			gpuRecs := joinRecords(t, Gbase, r, s, want, Options{HostParallelism: hostpar})
+			gpuRecs := joinRecords(t, Gbase, r, s, want, Options{Threads: threads})
 
 			for _, policy := range []SplitPolicy{SplitPolicyStatic, SplitPolicyModel, SplitPolicyCPU, SplitPolicyGPU} {
 				opts := base
 				opts.SplitPolicy = policy
 				splitRecs := joinRecords(t, Split, r, s, want, opts)
 				if !sameRecords(splitRecs, cpuRecs) {
-					t.Errorf("theta=%g hostpar=%d policy=%s: split records != cpu records",
-						theta, hostpar, policy)
+					t.Errorf("theta=%g threads=%d policy=%s: split records != cpu records",
+						theta, threads, policy)
 				}
 				if !sameRecords(splitRecs, gpuRecs) {
-					t.Errorf("theta=%g hostpar=%d policy=%s: split records != gpu records",
-						theta, hostpar, policy)
+					t.Errorf("theta=%g threads=%d policy=%s: split records != gpu records",
+						theta, threads, policy)
 				}
 			}
 		}
