@@ -69,10 +69,10 @@ func (c Config) Defaults() Config {
 	}
 	c.Bits1, c.Bits2 = radix.ClampBits(c.Bits1, c.Bits2)
 	if c.SampleRate <= 0 {
-		c.SampleRate = 0.01
+		c.SampleRate = freqtable.DefaultSampleRate
 	}
 	if c.SkewThreshold == 0 {
-		c.SkewThreshold = 2
+		c.SkewThreshold = freqtable.DefaultSkewThreshold
 	}
 	if c.SkewFactor == 0 {
 		c.SkewFactor = 4
@@ -125,12 +125,12 @@ func (r Result) SamplePlusPartition() time.Duration {
 
 // markSkewed probes the checkup table for every tuple of rel, in parallel,
 // returning the per-tuple skewed-partition ids (-1 = normal).
-func markSkewed(rel relation.Relation, checkup *checkupTable, threads int) []int32 {
+func markSkewed(rel relation.Relation, checkup *freqtable.CheckupTable, threads int) []int32 {
 	ids := make([]int32, rel.Len())
 	exec.Parallel(threads, func(w int) {
 		lo, hi := exec.Segment(rel.Len(), threads, w)
 		for i := lo; i < hi; i++ {
-			ids[i] = checkup.lookup(rel.Tuples[i].Key)
+			ids[i] = checkup.Lookup(rel.Tuples[i].Key)
 		}
 	})
 	return ids
@@ -147,24 +147,11 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	res.Stats.Fanout = rcfg.Fanout()
 
 	// Phase 1: detect skewed keys through sampling (before partitioning).
-	var checkup *checkupTable
+	var checkup *freqtable.CheckupTable
 	var skewedKeys []relation.Key
 	timer.Time("sample", func() {
-		stride := int(1 / cfg.SampleRate)
-		if stride < 1 {
-			stride = 1
-		}
-		counter := freqtable.New(r.Len()/stride + 1)
-		sampled := 0
-		for i := 0; i < r.Len(); i += stride {
-			counter.Add(r.Tuples[i].Key)
-			sampled++
-		}
-		res.Stats.SampleSize = sampled
-		for _, kc := range counter.AtLeast(cfg.SkewThreshold) {
-			skewedKeys = append(skewedKeys, kc.Key)
-		}
-		checkup = newCheckupTable(skewedKeys)
+		skewedKeys, res.Stats.SampleSize = freqtable.DetectSkew(r, cfg.SampleRate, cfg.SkewThreshold)
+		checkup = freqtable.NewCheckupTable(skewedKeys)
 	})
 	res.Stats.SkewedKeys = len(skewedKeys)
 	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {

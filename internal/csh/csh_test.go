@@ -119,44 +119,6 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-func TestCheckupTable(t *testing.T) {
-	keys := []relation.Key{5, 99, 12345, 0, 7}
-	ct := newCheckupTable(keys)
-	if ct.size() != len(keys) {
-		t.Fatalf("size = %d, want %d", ct.size(), len(keys))
-	}
-	for i, k := range keys {
-		if id := ct.lookup(k); id != int32(i) {
-			t.Errorf("lookup(%d) = %d, want %d", k, id, i)
-		}
-	}
-	for _, absent := range []relation.Key{1, 2, 100, 1 << 30} {
-		if ct.contains(absent) {
-			t.Errorf("contains(%d) = true for absent key", absent)
-		}
-	}
-}
-
-func TestCheckupTableDuplicateKeysKeepFirstID(t *testing.T) {
-	ct := newCheckupTable([]relation.Key{8, 8, 9})
-	if id := ct.lookup(8); id != 0 {
-		t.Errorf("lookup(8) = %d, want 0", id)
-	}
-	if id := ct.lookup(9); id != 2 {
-		t.Errorf("lookup(9) = %d, want 2", id)
-	}
-}
-
-func TestCheckupTableEmpty(t *testing.T) {
-	ct := newCheckupTable(nil)
-	if ct.contains(1) {
-		t.Error("empty table contains key")
-	}
-	if ct.size() != 0 {
-		t.Errorf("size = %d, want 0", ct.size())
-	}
-}
-
 // TestNMTimingSplit checks BuildNs/ProbeNs through CSH's NM-join: positive
 // whenever normal partitions exist, and bounded by threads × nmjoin wall.
 func TestNMTimingSplit(t *testing.T) {

@@ -1,8 +1,10 @@
 // Package freqtable provides the linear-probing frequency-counting hash
 // table that skew detection uses. CSH counts sampled R keys in it before
-// the partition phase (§IV-A step 1); GSH counts sampled tuples of each
-// large partition in it after the partition phase (§IV-B step 2: "GSH uses
-// a linear probing based hash table to compute the frequencies of sampled
+// the partition phase (§IV-A step 1), through DetectSkew, and routes
+// tuples with the CheckupTable built from the result; the streaming
+// symmetric join shares both. GSH counts sampled tuples of each large
+// partition in it after the partition phase (§IV-B step 2: "GSH uses a
+// linear probing based hash table to compute the frequencies of sampled
 // keys").
 package freqtable
 

@@ -41,10 +41,8 @@ func stressKernel(seed int64) func(b *Block) {
 		}
 		b.Out.PushRun(relation.Key(b.Idx), run, 7)
 		b.Out.PushRunS(relation.Key(b.Idx), 9, run)
-		b.Out.PushBatch([]outbuf.Result{
-			{Key: relation.Key(work), PayloadR: 1, PayloadS: 2},
-			{Key: relation.Key(work + 1), PayloadR: 3, PayloadS: 4},
-		})
+		b.Out.Push(relation.Key(work), 1, 2)
+		b.Out.Push(relation.Key(work+1), 3, 4)
 	}
 }
 

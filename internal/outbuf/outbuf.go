@@ -155,41 +155,6 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }
 
-// PushBatch emits a staged batch of heterogeneous results in one call:
-// locals-cached ring cursor, and a single count/checksum update per batch
-// instead of per result. The batch slice is the caller's scratch and is
-// not retained.
-//
-//skewlint:hotpath
-func (b *Buffer) PushBatch(rs []Result) {
-	if sanitize.Enabled {
-		b.checkRing()
-	}
-	ring := b.ring
-	mask := b.mask
-	pos := b.pos
-	var sum uint64
-	if b.onFlush == nil {
-		for _, r := range rs {
-			ring[pos&mask] = r
-			pos++
-			sum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-		}
-	} else {
-		for _, r := range rs {
-			ring[pos&mask] = r
-			pos++
-			sum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-			if pos&mask == 0 {
-				b.onFlush(ring)
-			}
-		}
-	}
-	b.pos = pos
-	b.count += uint64(len(rs))
-	b.checksum += sum
-}
-
 // PushRunS emits one result per S payload in sps, all matching the same
 // R tuple (k, pr). This is GSH's skew-join fast path: one thread block per
 // skewed R tuple streaming the skewed S array with coalesced accesses.

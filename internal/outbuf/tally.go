@@ -12,7 +12,6 @@ type Writer interface {
 	Push(k relation.Key, pr, ps relation.Payload)
 	PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload)
-	PushBatch(rs []Result)
 	Count() uint64
 }
 
@@ -35,14 +34,6 @@ type Tally struct {
 func (t *Tally) Push(k relation.Key, pr, ps relation.Payload) {
 	t.count++
 	t.checksum += coefKey*uint64(k) + coefPayloadR*uint64(pr) + coefPayloadS*uint64(ps)
-}
-
-// PushBatch counts a batch of heterogeneous results.
-func (t *Tally) PushBatch(rs []Result) {
-	for _, r := range rs {
-		t.checksum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-	}
-	t.count += uint64(len(rs))
 }
 
 // PushRun counts a run of results matching one S tuple (see

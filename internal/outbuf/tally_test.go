@@ -10,7 +10,7 @@ import (
 // applyOps drives the same random operation sequence against any Writer.
 func applyOps(w Writer, rng *rand.Rand, nOps int) {
 	for i := 0; i < nOps; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			w.Push(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), relation.Payload(rng.Uint32()))
 		case 1:
@@ -19,22 +19,12 @@ func applyOps(w Writer, rng *rand.Rand, nOps int) {
 				run[j] = relation.Payload(rng.Uint32())
 			}
 			w.PushRun(relation.Key(rng.Uint32()), run, relation.Payload(rng.Uint32()))
-		case 2:
+		default:
 			run := make([]relation.Payload, rng.Intn(9))
 			for j := range run {
 				run[j] = relation.Payload(rng.Uint32())
 			}
 			w.PushRunS(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), run)
-		default:
-			batch := make([]Result, rng.Intn(7))
-			for j := range batch {
-				batch[j] = Result{
-					Key:      relation.Key(rng.Uint32()),
-					PayloadR: relation.Payload(rng.Uint32()),
-					PayloadS: relation.Payload(rng.Uint32()),
-				}
-			}
-			w.PushBatch(batch)
 		}
 	}
 }
@@ -65,12 +55,11 @@ func TestTallyMatchesBuffer(t *testing.T) {
 }
 
 // TestTallyEmptyRunsSkipped mirrors Buffer behaviour: zero-length runs
-// and batches count nothing.
+// count nothing.
 func TestTallyEmptyRunsSkipped(t *testing.T) {
 	var tally Tally
 	tally.PushRun(1, nil, 2)
 	tally.PushRunS(3, 4, nil)
-	tally.PushBatch(nil)
 	if tally.Count() != 0 || tally.checksum != 0 {
 		t.Fatalf("empty ops counted: count %d, checksum %d", tally.Count(), tally.checksum)
 	}

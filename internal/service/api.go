@@ -177,6 +177,13 @@ type StreamInfo struct {
 	// Chunks is the number of streamed input chunks processed (streaming
 	// operator only).
 	Chunks int `json:"chunks,omitempty"`
+	// HotKeys is the number of keys the streaming operator's R sample
+	// marked hot; their tuples bypass the lane tables and are joined from
+	// dense per-key arrays (streaming operator only).
+	HotKeys int `json:"hot_keys,omitempty"`
+	// HotTuples is the number of tuples of both inputs that took that
+	// hot-key path (streaming operator only).
+	HotTuples int `json:"hot_tuples,omitempty"`
 }
 
 // KeyWeight is one heavy-hitter entry of a "topk" consumer.

@@ -617,6 +617,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			LimitHit:      st.LimitHit,
 			Staged:        st.Staged,
 			Chunks:        st.Chunks,
+			HotKeys:       st.HotKeys,
+			HotTuples:     st.HotTuples,
 		}
 	}
 	if st := res.Split; st != nil {

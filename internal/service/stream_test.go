@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"skewjoin/internal/relation"
 )
 
 // joinJSON posts a /join request (urlSuffix appends query parameters) and
@@ -139,5 +144,60 @@ func TestServiceLimitValidation(t *testing.T) {
 	}
 	if resp.Stream == nil || resp.Stream.LimitHit {
 		t.Fatalf("huge limit: stream %+v", resp.Stream)
+	}
+}
+
+// TestServiceStreamHotKeys checks the streaming operator's skew telemetry
+// reaches /join: the zipf-1.0 relations' heavy hitters are detected and
+// their tuples counted as diverted, while relations with no skew at all
+// report none. The unskewed pair holds every key once, so no key can
+// recur in the 1% R sample; uniform zipf-0 draws would let a few keys
+// recur by chance (about C(N/100, 2)/N of them).
+func TestServiceStreamHotKeys(t *testing.T) {
+	srv := New(Config{ThreadBudget: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const n = 30000
+	register(t, ts.URL, "r1", GenerateSpec{N: n, Zipf: 1.0, Seed: 42, Stream: 0})
+	register(t, ts.URL, "s1", GenerateSpec{N: n, Zipf: 1.0, Seed: 42, Stream: 1})
+	registerUnique(t, ts.URL, "r0", n, 1)
+	registerUnique(t, ts.URL, "s0", n, 2)
+	for _, tc := range []struct {
+		r, s string
+		hot  bool
+	}{{"r1", "s1", true}, {"r0", "s0", false}} {
+		status, resp, raw := joinJSON(t, ts.URL, "", JoinRequest{R: tc.r, S: tc.s, Algorithm: "ssj"})
+		if status != http.StatusOK {
+			t.Fatalf("%s⋈%s: status %d: %s", tc.r, tc.s, status, raw)
+		}
+		st := resp.Stream
+		if st == nil {
+			t.Fatalf("%s⋈%s: no stream block: %s", tc.r, tc.s, raw)
+		}
+		if tc.hot && (st.HotKeys == 0 || st.HotTuples == 0) {
+			t.Fatalf("zipf 1.0: hot_keys %d, hot_tuples %d, want both > 0", st.HotKeys, st.HotTuples)
+		}
+		if !tc.hot && (st.HotKeys != 0 || st.HotTuples != 0) {
+			t.Fatalf("unique keys: hot_keys %d, hot_tuples %d, want 0", st.HotKeys, st.HotTuples)
+		}
+	}
+}
+
+// registerUnique registers, as inline data, a relation holding each key
+// of [0, n) exactly once in a seed-shuffled order.
+func registerUnique(t *testing.T, base, name string, n int, seed int64) {
+	t.Helper()
+	rel := relation.New(n)
+	for i, k := range rand.New(rand.NewSource(seed)).Perm(n) {
+		rel.Tuples[i] = relation.Tuple{Key: relation.Key(k), Payload: relation.Payload(i)}
+	}
+	var buf bytes.Buffer
+	if _, err := rel.WriteTo(&buf); err != nil {
+		t.Fatalf("encode %q: %v", name, err)
+	}
+	req := RegisterRequest{Name: name, Data: base64.StdEncoding.EncodeToString(buf.Bytes())}
+	if status, raw := doJSON(t, "POST", base+"/relations", req); status != http.StatusCreated {
+		t.Fatalf("register %q: status %d: %s", name, status, raw)
 	}
 }

@@ -12,19 +12,34 @@
 // chunk instead of after the last.
 //
 // Skew shows up differently here than in the blocking joins: a popular
-// key floods both symmetric tables mid-stream, so its chains grow while
-// probes are already traversing them, and the per-key output explodes
-// early (the hot key's matches are quadratic in how much of each input
-// has arrived). That early explosion is precisely what makes the
-// operator strong under LIMIT: on skewed data the first chunks alone
-// satisfy small limits.
+// key would flood both symmetric tables mid-stream, so its chains grow
+// while probes are already traversing them (hence the hot-key path
+// below), and the per-key output explodes early (the hot key's matches
+// are quadratic in how much of each input has arrived). That early
+// explosion is precisely what makes the operator strong under LIMIT: on
+// skewed data the first chunks alone satisfy small limits.
 //
-// Tuple space is split across `Lanes` independent lane shards, each a
-// mutex plus an R-table and an S-table. A worker routes its chunk by the
-// low bits of the key hash (the tables bucket by the high bits, so lane
-// routing does not collapse their chains), then processes each lane's
-// group under that lane's lock. Lane serialization is what makes
-// probe-then-insert exactly-once without any global ordering.
+// Tuple space is split across lane shards (max(8, NextPow2(4×Threads))),
+// each a mutex plus an R-table and an S-table. A worker routes its chunk
+// by the low bits of the key hash (the tables bucket by the high bits, so
+// lane routing does not collapse their chains), then processes each
+// lane's group under that lane's lock. Lane serialization is what makes
+// probe-then-insert exactly-once without any global ordering. The tables
+// start at the minimum size and double as the stream fills them.
+//
+// Hot keys take CSH's skew path instead (§IV-A). Before streaming, a 1%
+// stride sample of R finds the keys sampled at least twice
+// (freqtable.DetectSkew, the same rule and defaults as CSH); each gets a
+// hotSlot of two append-only payload arrays. A chunk's hot tuples are
+// grouped per key, and under the slot lock a worker appends its group to
+// its own side's array and snapshots the opposite one; it then emits the
+// group against the snapshot outside the lock, with sequential reads and
+// no per-result key comparison (outbuf.PushRun/PushRunS). Exactly-once
+// follows from the slot's lock order as it does for lanes: of any (r, s)
+// pair, the tuple appended second finds the other in its snapshot, and
+// the one appended first does not. Because only the append is locked,
+// every worker emits hot output in parallel instead of queueing on the
+// hot key's lane.
 //
 // Early termination is built in: when Config.Limit results have been
 // staged, the run cancels its own drain and returns the partial summary
@@ -41,6 +56,7 @@ import (
 
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/exec"
+	"skewjoin/internal/freqtable"
 	"skewjoin/internal/hashfn"
 	"skewjoin/internal/outbuf"
 	"skewjoin/internal/relation"
@@ -54,14 +70,11 @@ type Config struct {
 	// streaming arrival and of cancellation latency (default 4096). A
 	// cancelled run stops within one chunk per worker.
 	ChunkSize int
-	// Lanes is the number of lane shards (rounded up to a power of two;
-	// default 4×Threads, minimum 8). Each lane holds one R-table and one
-	// S-table behind one mutex; more lanes mean less lock contention.
-	Lanes int
 	// Limit stops the run once at least this many results have been
-	// staged (0 = run to completion). The crossing is detected at
-	// lane-batch granularity, so up to one chunk per worker may be staged
-	// beyond the limit.
+	// staged (0 = run to completion). The crossing is detected after
+	// every lane batch and every hot-key run, so each worker stages at
+	// most one lane batch (bounded by a chunk's matches) or one hot run
+	// (bounded by the longest hot-key array) beyond the limit.
 	Limit uint64
 	// OutBufCap is the per-thread output ring capacity (0 = default).
 	OutBufCap int
@@ -69,8 +82,8 @@ type Config struct {
 	// buffers (the volcano model's upper operator).
 	Flush func(worker int) outbuf.FlushFunc
 	// Ctx optionally cancels the run (nil = never). Cancellation is
-	// observed between lane batches and between chunks; a cancelled run
-	// returns with Result.Canceled set and its partial output must be
+	// observed between chunks, lane batches and hot-key runs; a cancelled
+	// run returns with Result.Canceled set and its partial output must be
 	// discarded.
 	Ctx context.Context
 }
@@ -88,14 +101,16 @@ func (c Config) Defaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = DefaultChunkSize
 	}
-	if c.Lanes <= 0 {
-		c.Lanes = 4 * c.Threads
-	}
-	if c.Lanes < 8 {
-		c.Lanes = 8
-	}
-	c.Lanes = hashfn.NextPow2(c.Lanes)
 	return c
+}
+
+// laneCount is the number of lane shards for a run on threads workers:
+// enough that two workers rarely contend on one lane lock.
+func laneCount(threads int) int {
+	if n := hashfn.NextPow2(4 * threads); n > 8 {
+		return n
+	}
+	return 8
 }
 
 // Stats reports internals of a streaming run, including the two
@@ -103,14 +118,21 @@ func (c Config) Defaults() Config {
 type Stats struct {
 	// Chunks is the number of input chunks processed (both sides).
 	Chunks int
-	// ProbeVisits is the total chain nodes visited during probes.
+	// ProbeVisits is the total chain nodes visited during lane probes
+	// plus every opposite-array entry a hot-key run emitted against.
 	ProbeVisits uint64
 	// MaxChain is the longest hash chain across both tables of every
-	// lane at the end of the run — the skew symptom.
+	// lane, or the longest hot-key array if that is longer, at the end
+	// of the run — the skew symptom, whichever path carried the key.
 	MaxChain int
+	// HotKeys is the number of keys the R sample marked hot.
+	HotKeys int
+	// HotTuples is the number of tuples (both sides) that took the
+	// hot-key path instead of a lane.
+	HotTuples int
 	// Staged is the number of results staged into output rings. It can
-	// exceed Limit by up to one chunk per worker (bounded overshoot) and
-	// equals Summary.Count.
+	// exceed Limit by up to one lane batch or hot run per worker (bounded
+	// overshoot, see Config.Limit) and equals Summary.Count.
 	Staged uint64
 	// FirstResultNs is the time from run start to the first staged
 	// result batch, in nanoseconds (0 when the join is empty).
@@ -162,15 +184,38 @@ type lane struct {
 	s  *chainedtable.Incremental //skewlint:guarded-by mu
 }
 
+// hotSlot holds one hot key's payloads of both inputs in arrival order:
+// CSH's skewed R partition, with its S counterpart, built as the stream
+// arrives. The arrays are append-only, so a snapshot taken under mu stays
+// valid after the lock is released: later appends write past its length
+// or into a new backing array, never over its entries.
+type hotSlot struct {
+	key relation.Key
+	mu  sync.Mutex
+	r   []relation.Payload //skewlint:guarded-by mu
+	s   []relation.Payload //skewlint:guarded-by mu
+}
+
 // worker is one thread's private streaming state.
 type worker struct {
-	buf     *outbuf.Buffer
-	scratch [][]relation.Tuple // per-lane chunk routing groups
-	visits  uint64
-	chunks  int
-	// staged is buf.Count() as of the last lane batch; the delta feeds
-	// the shared progress counter.
+	buf       *outbuf.Buffer
+	scratch   [][]relation.Tuple   // per-lane chunk routing groups
+	hot       [][]relation.Payload // per-hot-key chunk groups
+	touched   []int32              // hot ids with a group in this chunk
+	visits    uint64
+	chunks    int
+	hotTuples int
+	// staged is buf.Count() as of the last publish; the delta feeds the
+	// shared progress counter.
 	staged uint64
+}
+
+// state is the symmetric state the workers share.
+type state struct {
+	lanes    []lane
+	laneMask uint32
+	checkup  *freqtable.CheckupTable
+	slots    []hotSlot // indexed by checkup id
 }
 
 // progress is the run-wide output accounting shared by all workers: the
@@ -223,19 +268,6 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		return res
 	}
 
-	lanes := make([]lane, cfg.Lanes)
-	laneMask := uint32(cfg.Lanes - 1)
-	// Size each lane's tables for an even key spread; a skewed lane just
-	// doubles a few extra times. Locked for the lock-discipline invariant
-	// even though no worker is running yet.
-	for i := range lanes {
-		ln := &lanes[i]
-		ln.mu.Lock()
-		ln.r = chainedtable.NewIncremental(r.Len() / cfg.Lanes)
-		ln.s = chainedtable.NewIncremental(s.Len() / cfg.Lanes)
-		ln.mu.Unlock()
-	}
-
 	tasks := interleave(r.Len(), s.Len(), cfg.ChunkSize)
 	queue := exec.NewQueue(tasks)
 
@@ -243,7 +275,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	// section: Flush factories need not be safe for concurrent calls.
 	workers := make([]*worker, cfg.Threads)
 	for w := range workers {
-		wk := &worker{buf: outbuf.New(cfg.OutBufCap), scratch: make([][]relation.Tuple, cfg.Lanes)}
+		wk := &worker{buf: outbuf.New(cfg.OutBufCap)}
 		if cfg.Flush != nil {
 			wk.buf.SetFlush(cfg.Flush(w))
 		}
@@ -259,9 +291,15 @@ func Join(r, s relation.Relation, cfg Config) Result {
 
 	prog := &progress{limit: cfg.Limit, cancel: cancel}
 
+	var st state
 	var timer exec.PhaseTimer
 	timer.Time("stream", func() {
 		prog.start = time.Now()
+		st = newState(r, cfg.Threads)
+		for _, wk := range workers {
+			wk.scratch = make([][]relation.Tuple, len(st.lanes))
+			wk.hot = make([][]relation.Payload, len(st.slots))
+		}
 		// The drain error is the join ctx firing — either the limit hook
 		// or the caller's ctx. Both are classified below from prog and
 		// cfg.Ctx, so the error value itself carries no extra signal.
@@ -272,7 +310,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 			if t.side == 1 {
 				tuples = s.Tuples
 			}
-			wk.stream(joinCtx, lanes, laneMask, t.side, tuples[t.lo:t.hi], prog)
+			wk.stream(joinCtx.Done(), &st, t.side, tuples[t.lo:t.hi], prog)
 		})
 		// Final partial batches: on a completed or limit-hit run these
 		// carry the tail results to the consumer. The deltas they stage
@@ -290,18 +328,10 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		bufs[w] = wk.buf
 		res.Stats.Chunks += wk.chunks
 		res.Stats.ProbeVisits += wk.visits
+		res.Stats.HotTuples += wk.hotTuples
 	}
-	for i := range lanes {
-		ln := &lanes[i]
-		ln.mu.Lock()
-		if mc := ln.r.MaxChain(); mc > res.Stats.MaxChain {
-			res.Stats.MaxChain = mc
-		}
-		if mc := ln.s.MaxChain(); mc > res.Stats.MaxChain {
-			res.Stats.MaxChain = mc
-		}
-		ln.mu.Unlock()
-	}
+	res.Stats.HotKeys = len(st.slots)
+	res.Stats.MaxChain = st.maxChain()
 	res.Stats.Staged = prog.staged.Load()
 	res.Stats.FirstResultNs = prog.firstNs.Load()
 	res.Stats.LimitNs = prog.limitNs.Load()
@@ -309,6 +339,51 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	res.Summary = outbuf.Summarize(bufs)
 	res.Phases = timer.Phases()
 	return res
+}
+
+// newState detects r's hot keys and allocates the lanes and hot slots.
+// Lane tables start at the minimum size: a limited run stops reading its
+// inputs after a few chunks, so tables sized for the whole input would be
+// mostly allocation and initialisation nobody uses.
+func newState(r relation.Relation, threads int) state {
+	keys, _ := freqtable.DetectSkew(r, freqtable.DefaultSampleRate, freqtable.DefaultSkewThreshold)
+	st := state{
+		lanes:   make([]lane, laneCount(threads)),
+		checkup: freqtable.NewCheckupTable(keys),
+		slots:   make([]hotSlot, len(keys)),
+	}
+	st.laneMask = uint32(len(st.lanes) - 1)
+	for i, k := range keys {
+		st.slots[i].key = k
+	}
+	// Locked for the lock-discipline invariant even though no worker is
+	// running yet.
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		ln.mu.Lock()
+		ln.r = chainedtable.NewIncremental(0)
+		ln.s = chainedtable.NewIncremental(0)
+		ln.mu.Unlock()
+	}
+	return st
+}
+
+// maxChain returns the longest lane chain or hot-key array.
+func (st *state) maxChain() int {
+	longest := 0
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		ln.mu.Lock()
+		longest = max(longest, ln.r.MaxChain(), ln.s.MaxChain())
+		ln.mu.Unlock()
+	}
+	for i := range st.slots {
+		sl := &st.slots[i]
+		sl.mu.Lock()
+		longest = max(longest, len(sl.r), len(sl.s))
+		sl.mu.Unlock()
+	}
+	return longest
 }
 
 // interleave cuts both inputs into ChunkSize tasks and alternates them
@@ -332,18 +407,12 @@ func interleave(nr, ns, chunk int) []task {
 	return tasks
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// stream processes one chunk: route its tuples to lanes, then for each
-// non-empty lane — under the lane lock — probe the opposite table and
-// insert into the own-side table, tuple by tuple. Cancellation is polled
-// between lanes, so a cancelled worker stops within one lane group.
-func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, side int32, chunk []relation.Tuple, prog *progress) {
+// stream processes one chunk: divert its hot-key tuples into per-key
+// groups and route the rest to lanes, then emit the hot groups (see
+// streamHot) and, for each non-empty lane — under the lane lock — probe
+// the opposite table and insert into the own-side table, tuple by tuple.
+// Cancellation is polled after every hot run and between lanes.
+func (wk *worker) stream(done <-chan struct{}, st *state, side int32, chunk []relation.Tuple, prog *progress) {
 	wk.chunks++
 	// Route by the LOW hash bits: the Incremental tables bucket by the
 	// high bits, so lane membership and bucket index stay independent
@@ -352,9 +421,23 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 	for i := range scratch {
 		scratch[i] = scratch[i][:0]
 	}
+	for _, id := range wk.touched {
+		wk.hot[id] = wk.hot[id][:0]
+	}
+	wk.touched = wk.touched[:0]
 	for _, tp := range chunk {
-		l := hashfn.Mix32(uint32(tp.Key)) & laneMask
+		if id := st.checkup.Lookup(tp.Key); id >= 0 {
+			if len(wk.hot[id]) == 0 {
+				wk.touched = append(wk.touched, id)
+			}
+			wk.hot[id] = append(wk.hot[id], tp.Payload)
+			continue
+		}
+		l := hashfn.Mix32(uint32(tp.Key)) & st.laneMask
 		scratch[l] = append(scratch[l], tp)
+	}
+	if !wk.streamHot(done, st, side, prog) {
+		return
 	}
 
 	buf := wk.buf
@@ -365,7 +448,6 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 	emitR := func(ps relation.Payload) { buf.Push(curKey, curP, ps) } // side 0: probing S table
 	emitS := func(pr relation.Payload) { buf.Push(curKey, pr, curP) } // side 1: probing R table
 
-	done := ctx.Done()
 	for l := range scratch {
 		group := scratch[l]
 		if len(group) == 0 {
@@ -376,7 +458,7 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 			return
 		default:
 		}
-		ln := &lanes[l]
+		ln := &st.lanes[l]
 		ln.mu.Lock()
 		if side == 0 {
 			for _, tp := range group {
@@ -392,10 +474,57 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 			}
 		}
 		ln.mu.Unlock()
-		if c := buf.Count(); c != wk.staged {
-			prog.observe(c - wk.staged)
-			wk.staged = c
+		wk.publish(prog)
+	}
+}
+
+// streamHot emits the chunk's hot-key groups. Per key, it appends the
+// group to its side's slot array and snapshots the opposite array under
+// the slot lock, then emits one run per group tuple against the snapshot
+// with the lock released. It reports false when done fired.
+func (wk *worker) streamHot(done <-chan struct{}, st *state, side int32, prog *progress) bool {
+	buf := wk.buf
+	for _, id := range wk.touched {
+		group := wk.hot[id]
+		wk.hotTuples += len(group)
+		sl := &st.slots[id]
+		sl.mu.Lock()
+		var opp []relation.Payload
+		if side == 0 {
+			opp = sl.s
+			sl.r = append(sl.r, group...)
+		} else {
+			opp = sl.r
+			sl.s = append(sl.s, group...)
 		}
+		sl.mu.Unlock()
+		if len(opp) == 0 {
+			continue
+		}
+		for _, p := range group {
+			if side == 0 {
+				buf.PushRunS(sl.key, p, opp)
+			} else {
+				buf.PushRun(sl.key, opp, p)
+			}
+			wk.visits += uint64(len(opp))
+			wk.publish(prog)
+			select {
+			case <-done:
+				return false
+			default:
+			}
+		}
+	}
+	return true
+}
+
+// publish folds the results staged since the last call into the shared
+// progress counter.
+func (wk *worker) publish(prog *progress) {
+	if c := wk.buf.Count(); c != wk.staged {
+		prog.observe(c - wk.staged)
+		wk.staged = c
 	}
 }
 

@@ -39,6 +39,12 @@ type StreamStats struct {
 	Staged uint64
 	// Chunks is the number of streamed input chunks processed (SSJ only).
 	Chunks int
+	// HotKeys is the number of keys SSJ's R sample marked hot (SSJ only):
+	// their tuples are joined from dense per-key arrays, as in CSH.
+	HotKeys int
+	// HotTuples is the number of tuples of both inputs that took the
+	// hot-key path (SSJ only).
+	HotTuples int
 }
 
 // streamStats converts the operator's stats into the public mirror.
@@ -49,6 +55,8 @@ func streamStats(st ssj.Stats) *StreamStats {
 		LimitHit:      st.LimitHit,
 		Staged:        st.Staged,
 		Chunks:        st.Chunks,
+		HotKeys:       st.HotKeys,
+		HotTuples:     st.HotTuples,
 	}
 }
 
